@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ghz_sim.evolution import evolve_static, truncation_leak
+from ghz_sim.evolution import evolve_static
 from ghz_sim.fock_core import HilbertShape, basis_state
 from ghz_sim.ghz_protocol import fidelity, ghz_schedule, target_state
 from ghz_sim.hamiltonian import (SystemParams, build_ld_hamiltonian,
@@ -37,14 +37,13 @@ def study_point(eta_c: float, dim: int, model: str):
     times = np.linspace(0.0, schedule.t_p, 101)
     result = evolve_static(h, psi0, times)
 
-    final = result.final_state
     tgt = target_state(("g", 0, 0), shape)
     block_idx = [shape.index(*lbl) for lbl in
                  (("g", 1, 1), ("e", 1, 1), ("g", 0, 0), ("e", 0, 0))]
-    pops = final.populations()
+    pops = np.abs(result.amplitudes[-1]) ** 2
     leak = 1.0 - sum(pops[i] for i in block_idx)
-    worst_top = max(truncation_leak(s) for s in result.states)
-    return fidelity(final, tgt), leak, worst_top
+    worst_top = result.truncation_leak.max()
+    return fidelity(result.final_state, tgt), leak, worst_top
 
 
 def main():

@@ -15,7 +15,7 @@ import numpy as np
 
 from ghz_sim.evolution import evolve_static, evolve_timedep, to_interaction_picture
 from ghz_sim.fock_core import HilbertShape, basis_state
-from ghz_sim.ghz_protocol import ghz_schedule, tune_coupling
+from ghz_sim.ghz_protocol import _default_lab_dt, ghz_schedule, tune_coupling
 from ghz_sim.hamiltonian import (SystemParams, build_rwa_hamiltonian,
                                  lab_hamiltonian_source)
 
@@ -35,11 +35,9 @@ def infidelity_at(ratio: float, shape: HilbertShape, time_fraction: float) -> fl
 
     rwa = evolve_static(build_rwa_hamiltonian(params, shape), psi0, [t_end])
     source = lab_hamiltonian_source(params, shape)
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
-    dt = min((2 * np.pi / params.max_frequency()) / 64.0,
-             (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
+    dt = _default_lab_dt(source, params.max_frequency(), t_end)
     lab = evolve_timedep(source, psi0, t_end, dt)
-    lab_state = to_interaction_picture(lab.final_state, params, t_end)
+    lab_state = to_interaction_picture(lab, params).final_state
 
     overlap = abs(np.vdot(rwa.final_state.amplitudes, lab_state.amplitudes)) ** 2
     return 1.0 - overlap

@@ -5,17 +5,17 @@ the pulse."""
 
 from .errors import (AccuracyError, ConfigurationError, GhzSimError,
                      ModelError, TruncationError)
-from .evolution import (BlockState, EvolutionResult, block_propagate,
-                        block_propagator, evolve_static, evolve_timedep,
-                        to_interaction_picture)
+from .evolution import (EvolutionResult, block_propagator, evolve_static,
+                        evolve_timedep, to_interaction_picture)
 from .fock_core import (HilbertShape, QuantumState, basis_state, embed,
                         kron3, ladder_ops, partial_trace, pauli_ops)
 from .ghz_protocol import (FidelityReport, ProtocolSchedule, SweepPoint,
                            fidelity, ghz_schedule, run_protocol, sweep,
                            target_state, tune_coupling)
 from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
-                          build_lab_hamiltonian, build_ld_hamiltonian,
-                          build_O_k, build_rwa_hamiltonian, effective_coupling,
-                          matrix_element_F_c, matrix_element_F_L)
+                          build_ld_hamiltonian, build_O_k,
+                          build_rwa_hamiltonian, effective_coupling,
+                          lab_hamiltonian_source, matrix_element_F_c,
+                          matrix_element_F_L)
 
 __version__ = "0.1.0"

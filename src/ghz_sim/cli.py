@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -133,16 +132,6 @@ def resolve_model(name: str) -> str:
         f"unknown model {name!r}; choose from {sorted(MODEL_ALIASES)}")
 
 
-def sweep_threads() -> int | None:
-    raw = os.environ.get("GHZ_SIM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"GHZ_SIM_THREADS must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # table writing / reading
 # ---------------------------------------------------------------------------
@@ -233,6 +222,11 @@ def cmd_ghz(args) -> int:
     model = resolve_model(config["model"])
     initial = parse_label(config["initial"])
     m, n, p = int(config["m"]), int(config["n"]), int(config["p"])
+    n_times = int(config["n_times"])
+    if n_times < 2:
+        raise ConfigurationError(
+            f"n_times must be >= 2 (the series runs from t = 0 to t_p), "
+            f"got {n_times}")
 
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
     explicit_t = config_time(config, "t")
@@ -241,7 +235,6 @@ def cmd_ghz(args) -> int:
                            a_t_product=schedule.block.a * explicit_t)
     run_params = replace(params, g=schedule.tuned_g)
 
-    n_times = int(config["n_times"])
     times = np.linspace(0.0, schedule.t_p, n_times)
     series = protocol_timeseries(run_params, initial, model, schedule, times,
                                  shape=shape, dt=config_time(config, "dt"))
@@ -293,8 +286,7 @@ def cmd_sweep(args) -> int:
 
     points = sweep(params, args.axis, values, initial, model, shape=shape,
                    m=int(config["m"]), n=int(config["n"]), p=int(config["p"]),
-                   dt=config_time(config, "dt"), tune=not args.no_tune,
-                   threads=sweep_threads())
+                   dt=config_time(config, "dt"), tune=not args.no_tune)
 
     labels = sorted({lbl for pt in points for lbl in pt.report.populations},
                     key=_label_sort_key)

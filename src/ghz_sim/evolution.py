@@ -2,7 +2,7 @@
 
 Three engines plus the frame transform that links them:
 
-* :func:`block_propagate` applies the closed-form 4x4 propagator for one
+* :func:`block_propagator` is the closed-form 4x4 propagator of one
   sideband block (see the honesty note in its docstring);
 * :func:`evolve_static` evolves under any time-independent Hermitian
   Hamiltonian by eigendecomposition, exp(-iHt) applied exactly;
@@ -10,12 +10,16 @@ Three engines plus the frame transform that links them:
   fixed-step classical Runge-Kutta scheme (midpoint Hamiltonian evaluations);
   norm drift is never repaired by renormalization, it is the accuracy signal;
 * :func:`to_interaction_picture` applies the diagonal free-evolution phases
-  exp(+i H0 t) that map a lab-frame state into the interaction picture.
+  exp(+i H0 t) that map a lab-frame trajectory into the interaction picture.
+
+Every full-space engine returns its trajectory as one (times x dim) complex
+amplitude array in an :class:`EvolutionResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,55 +41,60 @@ BLOCK_PERMUTATION = np.array(
      [1, 0, 0, 0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BlockState:
-    """State restricted to one 4-state block, ordered
-    (|g,m,n>, |e,m,n>, |g,m-1,n-1>, |e,m-1,n-1>)."""
-
-    amplitudes: np.ndarray
-    block: BlockParams
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError("block state needs exactly 4 amplitudes")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+@functools.lru_cache(maxsize=None)
+def _top_level_mask(shape: HilbertShape) -> np.ndarray:
+    """Read-only flat mask of the basis states in the top vib or top cav level."""
+    top = np.zeros((shape.ion_dim, shape.vib_dim, shape.cav_dim), dtype=bool)
+    top[:, -1, :] = True
+    top[:, :, -1] = True
+    mask = top.ravel()
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
     """Stored trajectory of one evolution run.
 
-    ``truncation_leak[i]`` is the population in the top vibrational or top
-    cavity level at ``times[i]`` (always 0 for block-space runs); ``norm_drift``
-    is the largest deviation of any stored norm from 1.
+    ``amplitudes`` is a read-only (len(times), shape.total_dim) complex array
+    whose row i is the state at ``times[i]``; a complex array passed in is
+    marked read-only, not copied. ``truncation_leak[i]`` is that
+    row's population in the top vibrational or top cavity level, the
+    truncation diagnostic; ``norm_drift`` is the largest deviation of any
+    norm from 1 seen by the engine.
     """
 
     times: np.ndarray
-    states: tuple
-    truncation_leak: np.ndarray
+    amplitudes: np.ndarray
+    shape: HilbertShape
     model_tag: str
     norm_drift: float = 0.0
+    truncation_leak: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) != len(self.states):
-            raise ValueError("times and states must have matching length")
+        if times.ndim != 1:
+            raise ValueError("times must be one-dimensional")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (len(times), self.shape.total_dim):
+            raise ValueError(
+                f"amplitude array has shape {amps.shape}, expected "
+                f"({len(times)}, {self.shape.total_dim})")
+        amps.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "amplitudes", amps)
+        # compress keeps each row contiguous, so every row is summed in the
+        # same order as a one-dimensional sum of that state's populations;
+        # squared in place, the same x * x as ** 2 without another copy
+        top = np.abs(amps.compress(_top_level_mask(self.shape), axis=1))
         object.__setattr__(self, "truncation_leak",
-                           np.asarray(self.truncation_leak, dtype=float))
+                           np.sum(np.square(top, out=top), axis=1))
 
     @property
-    def final_state(self):
-        return self.states[-1]
+    def final_state(self) -> QuantumState:
+        return QuantumState(self.shape, self.amplitudes[-1])
 
 
 def block_propagator(block: BlockParams, t: float) -> np.ndarray:
@@ -129,34 +138,10 @@ def block_propagator(block: BlockParams, t: float) -> np.ndarray:
     return u
 
 
-def block_propagate(initial: BlockState, t: float) -> BlockState:
-    """Evolve a block state for time t with the closed-form propagator.
-
-    General initial states evolve by linearity; the output norm equals the
-    input norm to machine precision.
-    """
-    u = block_propagator(initial.block, t)
-    return BlockState(u @ initial.amplitudes, initial.block)
-
-
 def require_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL):
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     if dev > atol:
         raise ModelError(f"Hamiltonian is not Hermitian: max |H - H†| = {dev:.3e}")
-
-
-def _top_level_mask(shape: HilbertShape) -> np.ndarray:
-    """Boolean mask of basis states sitting in the top vib or top cav level."""
-    mask = np.zeros(shape.total_dim, dtype=bool)
-    for s, m, n in shape.labels():
-        if m == shape.vib_dim - 1 or n == shape.cav_dim - 1:
-            mask[shape.index(s, m, n)] = True
-    return mask
-
-
-def truncation_leak(state: QuantumState) -> float:
-    """Population in the top vibrational or top cavity Fock level."""
-    return float(np.sum(state.populations()[_top_level_mask(state.shape)]))
 
 
 def evolve_static(h: np.ndarray, initial: QuantumState,
@@ -175,17 +160,17 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     evals, vecs = np.linalg.eigh(h)
     coeffs = vecs.conj().T @ initial.amplitudes
 
-    mask = _top_level_mask(initial.shape)
-    states, leaks = [], []
+    # one exact product per time; a single (D x D) @ (D x T) matmul would
+    # reorder the sums and move the written 12-digit outputs; the norms are
+    # taken row by row too, as an axis=1 norm builds two (T, D) temporaries
+    times = np.asarray(times, dtype=float)
+    amps = np.empty((len(times), len(coeffs)), dtype=complex)
     drift = 0.0
-    for t in times:
-        amps = vecs @ (np.exp(-1j * evals * t) * coeffs)
-        state = QuantumState(initial.shape, amps)
-        states.append(state)
-        leaks.append(float(np.sum(state.populations()[mask])))
-        drift = max(drift, abs(state.norm() - 1.0))
-    return EvolutionResult(np.asarray(times, dtype=float), states,
-                           np.asarray(leaks), "static", norm_drift=drift)
+    for i, t in enumerate(times):
+        amps[i] = vecs @ (np.exp(-1j * evals * t) * coeffs)
+        drift = max(drift, abs(float(np.linalg.norm(amps[i])) - 1.0))
+    return EvolutionResult(times, amps, initial.shape, "static",
+                           norm_drift=drift)
 
 
 def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
@@ -259,34 +244,32 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     if abs(store_times[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
         raise ValueError("store_times must end at t_end")
 
-    mask = _top_level_mask(initial.shape)
     psi = initial.amplitudes.copy()
     t_now = 0.0
-    states, leaks = [], []
+    amps = np.empty((len(store_times), len(psi)), dtype=complex)
     drift = 0.0
-    for t in store_times:
+    for i, t in enumerate(store_times):
         psi, seg_drift = _rk4_segment(h_of_t, psi, t_now, t, dt)
         drift = max(drift, seg_drift)
         t_now = t
-        state = QuantumState(initial.shape, psi)
-        states.append(state)
-        leaks.append(float(np.sum(state.populations()[mask])))
-    return EvolutionResult(np.asarray(store_times, dtype=float), states,
-                           np.asarray(leaks), "timedep", norm_drift=drift)
+        amps[i] = psi
+    return EvolutionResult(store_times, amps, initial.shape, "timedep",
+                           norm_drift=drift)
 
 
-def to_interaction_picture(state: QuantumState, params: SystemParams,
-                           t: float) -> QuantumState:
-    """Apply U0†(t) = exp(+i H0 t), diagonal in the |s, m, n> basis.
+def to_interaction_picture(result: EvolutionResult,
+                           params: SystemParams) -> EvolutionResult:
+    """Apply U0†(t) = exp(+i H0 t) to every stored state of a lab-frame run.
 
-    Each basis state picks up exp(+i [nu (m + 1/2) + omega_c n
-    + (omega_0 / 2) (+1 for e, -1 for g)] t); populations are unchanged.
+    U0† is diagonal in the |s, m, n> basis: each basis state picks up
+    exp(+i [nu (m + 1/2) + omega_c n + (omega_0 / 2) (+1 for e, -1 for g)] t).
+    Populations are unchanged.
     """
-    sh = state.shape
-    energies = np.empty(sh.total_dim)
-    for s, m, n in sh.labels():
-        sign = 1.0 if s == "e" else -1.0
-        energies[sh.index(s, m, n)] = (params.nu * (m + 0.5)
-                                       + params.omega_c * n
-                                       + 0.5 * params.omega_0 * sign)
-    return QuantumState(sh, np.exp(1j * energies * t) * state.amplitudes)
+    sh = result.shape
+    m = np.arange(sh.vib_dim)[None, :, None]
+    n = np.arange(sh.cav_dim)[None, None, :]
+    sign = np.array([-1.0, 1.0])[:, None, None]  # ION_LABELS order (g, e)
+    energies = (params.nu * (m + 0.5) + params.omega_c * n
+                + 0.5 * params.omega_0 * sign).ravel()
+    phases = np.exp(1j * energies * result.times[:, None])
+    return replace(result, amplitudes=phases * result.amplitudes)

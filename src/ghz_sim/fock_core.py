@@ -90,8 +90,8 @@ class HilbertShape:
 class QuantumState:
     """Complex amplitude vector over the |s, m, n> basis of a :class:`HilbertShape`.
 
-    Amplitudes are stored read-only; states are immutable values that can be
-    shared freely between concurrent sweep workers.
+    Amplitudes are stored read-only; states are immutable values that callers
+    can share without copying.
     """
 
     shape: HilbertShape

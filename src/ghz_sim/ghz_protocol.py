@@ -16,9 +16,8 @@ basis states.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, TruncationError
 from .evolution import (block_propagator, evolve_static, evolve_timedep,
-                        to_interaction_picture, truncation_leak)
+                        to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
@@ -162,6 +161,12 @@ def _block_indices(shape: HilbertShape, block: BlockParams) -> list[int]:
     return [shape.index(*lbl) for lbl in block_basis_labels(block.m, block.n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _label_strings(shape: HilbertShape) -> tuple[str, ...]:
+    """Formatted labels of every basis state, in flat-index order."""
+    return tuple(format_label(lbl) for lbl in shape.labels())
+
+
 def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
     """Step size for a lab-frame run: inside the resolution guard and small
     enough that the accumulated RK4 norm drift (about t lambda^6 dt^5 / 144,
@@ -178,8 +183,12 @@ def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
 
 def _evolve_states(params: SystemParams, initial_label: Label, model: str,
                    schedule: ProtocolSchedule, shape: HilbertShape,
-                   times: np.ndarray, dt: float | None) -> list[QuantumState]:
-    """Evolve the initial basis state to each requested time under the model."""
+                   times: np.ndarray, dt: float | None) -> np.ndarray:
+    """Evolve the initial basis state to each requested time under the model.
+
+    Returns the (len(times), shape.total_dim) amplitude array; full-space runs
+    pass the truncation guard first.
+    """
     run_params = replace(params, g=schedule.tuned_g)
     initial = basis_state(shape, *initial_label)
 
@@ -192,59 +201,35 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         start = np.zeros(4, dtype=complex)
         start[labels.index(initial_label)] = 1.0
         idx = _block_indices(shape, schedule.block)
-        states = []
-        for t in times:
-            amp4 = block_propagator(schedule.block, float(t)) @ start
-            amps = np.zeros(shape.total_dim, dtype=complex)
-            amps[idx] = amp4
-            states.append(QuantumState(shape, amps))
-        return states
+        amps = np.zeros((len(times), shape.total_dim), dtype=complex)
+        for i, t in enumerate(times):
+            amps[i, idx] = block_propagator(schedule.block, float(t)) @ start
+        return amps
 
     if model == "ld_full":
-        h = build_ld_hamiltonian(run_params, shape)
-        return list(evolve_static(h, initial, times).states)
-    if model == "rwa_full":
-        h = build_rwa_hamiltonian(run_params, shape)
-        return list(evolve_static(h, initial, times).states)
-    if model == "lab_frame":
+        result = evolve_static(build_ld_hamiltonian(run_params, shape),
+                               initial, times)
+    elif model == "rwa_full":
+        result = evolve_static(build_rwa_hamiltonian(run_params, shape),
+                               initial, times)
+    elif model == "lab_frame":
         source = lab_hamiltonian_source(run_params, shape)
         omega_max = run_params.max_frequency()
         if dt is None:
             dt = _default_lab_dt(source, omega_max, float(times[-1]))
-        result = evolve_timedep(source, initial, float(times[-1]), dt,
-                                omega_max=omega_max, store_times=times)
-        return [to_interaction_picture(state, run_params, float(t))
-                for state, t in zip(result.states, result.times)]
-    raise ValueError(f"unknown model {model!r}, expected one of {MODEL_TAGS}")
-
-
-def _score(state: QuantumState, target: QuantumState, block: BlockParams,
-           model: str) -> FidelityReport:
-    pops = state.populations()
-    populations = {}
-    for lbl in state.shape.labels():
-        value = float(pops[state.shape.index(*lbl)])
-        if value > POPULATION_FLOOR:
-            populations[format_label(lbl)] = value
-    if model == "block_analytic":
-        leakage = 0.0
+        result = to_interaction_picture(
+            evolve_timedep(source, initial, float(times[-1]), dt,
+                           omega_max=omega_max, store_times=times),
+            run_params)
     else:
-        in_block = sum(pops[i] for i in _block_indices(state.shape, block))
-        leakage = max(float(1.0 - in_block), 0.0)
-    return FidelityReport(
-        fidelity=fidelity(state, target),
-        block_leakage=leakage,
-        populations=populations,
-        model_tag=model,
-        norm=state.norm(),
-    )
+        raise ValueError(
+            f"unknown model {model!r}, expected one of {MODEL_TAGS}")
+    _check_truncation(shape, result.truncation_leak)
+    return result.amplitudes
 
 
-def _check_truncation(shape: HilbertShape, states: Sequence[QuantumState],
-                      model: str):
-    if model == "block_analytic":
-        return
-    worst = max(truncation_leak(s) for s in states)
+def _check_truncation(shape: HilbertShape, leaks: np.ndarray):
+    worst = leaks.max()
     if worst > TRUNCATION_LIMIT:
         raise TruncationError(
             f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
@@ -257,17 +242,43 @@ def protocol_timeseries(params: SystemParams, initial_label: Label, model: str,
                         shape: HilbertShape | None = None,
                         dt: float | None = None
                         ) -> list[tuple[float, FidelityReport]]:
-    """Run the protocol and score the state at every requested time."""
+    """Run the protocol and score the state at every requested time.
+
+    Each report carries |<target|psi>|^2, the population outside the 4-state
+    block (0 for the block model), every basis population above
+    POPULATION_FLOOR keyed by its label, and the norm.
+    """
     if shape is None:
         shape = schedule.target.shape
     times = np.asarray(times, dtype=float)
     target = target_state(initial_label, shape, m=schedule.block.m,
-                          n=schedule.block.n, p=schedule.p)
-    states = _evolve_states(params, initial_label, model, schedule, shape,
-                            times, dt)
-    _check_truncation(shape, states, model)
-    return [(float(t), _score(state, target, schedule.block, model))
-            for t, state in zip(times, states)]
+                          n=schedule.block.n, p=schedule.p).amplitudes
+    amps = _evolve_states(params, initial_label, model, schedule, shape,
+                          times, dt)
+    # squared in place: the same x * x as ** 2 without a second (T, D)
+    # temporary, so an op's heap peak stays that of the per-state code
+    pops = np.abs(amps)
+    np.square(pops, out=pops)
+    if model == "block_analytic":
+        leakage = np.zeros(len(times))
+    else:
+        # summed left to right, one block state at a time
+        in_block = sum(pops[:, i]
+                       for i in _block_indices(shape, schedule.block))
+        leakage = np.maximum(1.0 - in_block, 0.0)
+    labels = _label_strings(shape)
+    series = []
+    for t, row, row_pops, leak in zip(times, amps, pops, leakage):
+        populations = {labels[i]: float(row_pops[i])
+                       for i in np.flatnonzero(row_pops > POPULATION_FLOOR)}
+        series.append((float(t), FidelityReport(
+            fidelity=float(abs(np.vdot(target, row)) ** 2),
+            block_leakage=float(leak),
+            populations=populations,
+            model_tag=model,
+            norm=float(np.linalg.norm(row)),
+        )))
+    return series
 
 
 def run_protocol(params: SystemParams, initial_label: Label, model: str,
@@ -318,13 +329,12 @@ def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
 
 def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Label,
           model: str, shape: HilbertShape | None = None, m: int = 1, n: int = 1,
-          p: int = 1, dt: float | None = None, tune: bool = True,
-          threads: int | None = None) -> list[SweepPoint]:
-    """One protocol run per axis value, fanned out over worker threads.
+          p: int = 1, dt: float | None = None,
+          tune: bool = True) -> list[SweepPoint]:
+    """One protocol run per axis value, in the order of ``values``.
 
     Each point re-derives its schedule (retuning the coupling by default, so
     e.g. a phi sweep with tuning compensates the effective coupling g cos phi).
-    Results preserve the order of ``values``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: "
@@ -334,15 +344,6 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
         raise ValueError("sweep needs at least one value")
     if shape is None:
         shape = HilbertShape(vib_dim=max(m + 1, 2), cav_dim=max(n + 1, 2))
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, len(values)))
-
-    def job(value):
-        return _sweep_one(params, axis, value, initial_label, model, shape,
-                          m, n, p, dt, tune)
-
-    if threads == 1:
-        return [job(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, values))
+    return [_sweep_one(params, axis, value, initial_label, model, shape,
+                       m, n, p, dt, tune)
+            for value in values]

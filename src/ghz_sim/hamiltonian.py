@@ -24,7 +24,7 @@ replaces g by the effective coupling g cos(phi) (see :func:`effective_coupling`)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -66,6 +66,10 @@ class SystemParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("Omega", "g", "nu", "omega_0", "omega_c", "omega_L"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -213,12 +217,6 @@ def lab_hamiltonian_source(params: SystemParams,
         return h_static + phase * laser_up + np.conj(phase) * laser_up.conj().T
 
     return h_of_t
-
-
-def build_lab_hamiltonian(params: SystemParams, shape: HilbertShape,
-                          t: float) -> np.ndarray:
-    """Full lab-frame Hamiltonian H0 + H_int at time t (Hermitian at every t)."""
-    return lab_hamiltonian_source(params, shape)(t)
 
 
 def build_rwa_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarray:

@@ -1,5 +1,4 @@
-import math
-
+from ghz_sim.checks import _o_k_entry_laguerre
 from ghz_sim.ghz_protocol import tune_coupling
 from ghz_sim.hamiltonian import SystemParams
 
@@ -17,12 +16,7 @@ def scaled_params(Omega=8.95e6, eta_c=0.05, eta_L=0.05, g=None, phi=0.0,
                         phi=phi)
 
 
-def o_k_series(k: int, eta: float, m: int) -> float:
-    """Independent brute-force evaluation of <m|O_k|m>: the finite series
-    exp(-eta^2/2) sum_p (-eta^2)^p m! / (p! (p+k)! (m-p)!)."""
-    total = 0.0
-    for p in range(m + 1):
-        total += ((-(eta ** 2)) ** p * math.factorial(m)
-                  / (math.factorial(p) * math.factorial(p + k)
-                     * math.factorial(m - p)))
-    return math.exp(-(eta ** 2) / 2.0) * total
+# independent oracle for <m|O_k|m>: the generalized-Laguerre closed form
+# exp(-eta^2/2) m!/(m+k)! L_m^(k)(eta^2) shared with the validate suite, not a
+# copy of the production series
+o_k_oracle = _o_k_entry_laguerre

@@ -157,6 +157,28 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert run_cli("ghz", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("field, raw", [("Omega", "NaN"),
+                                            ("eta_c", "Infinity")])
+    def test_non_finite_parameter_exits_two(self, tmp_path, capsys, field,
+                                            raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"{field}": {raw}}}')
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("n_times", [0, 1])
+    def test_too_few_samples_exits_two(self, tmp_path, capsys, n_times):
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"n_times": n_times}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert "n_times must be >= 2" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))
@@ -192,19 +214,6 @@ class TestSweepCommand:
         columns, rows = read_table(str(out_file))
         fids = [r[columns.index("fidelity")] for r in rows]
         assert fids[0] < fids[1] < fids[2]
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GHZ_SIM_THREADS", "2")
-        out_file = tmp_path / "threads.csv"
-        assert run_cli("sweep", "p", "1,2,3,4", "--model", "block",
-                       "--shape", "2x2", "--output", str(out_file)) == 0
-        _, rows = read_table(str(out_file))
-        assert [r[0] for r in rows] == [1.0, 2.0, 3.0, 4.0]
-
-    def test_bad_thread_env_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GHZ_SIM_THREADS", "lots")
-        assert run_cli("sweep", "p", "1,2", "--model", "block",
-                       "--output", str(tmp_path / "x.csv")) == 2
 
     def test_sweep_output_reparses(self, tmp_path):
         csv_f = tmp_path / "s.csv"

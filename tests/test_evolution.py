@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import scaled_params
 from ghz_sim.errors import AccuracyError, ConfigurationError, ModelError
-from ghz_sim.evolution import (BLOCK_PERMUTATION, BlockState, block_propagate,
+from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep,
                                to_interaction_picture)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, kron3, pauli_ops
@@ -87,8 +87,7 @@ class TestBlockPropagator:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            block_propagate(BlockState(np.array([1, 0, 0, 0]),
-                                       make_block(1.0, 0.3)), -0.1)
+            block_propagator(make_block(1.0, 0.3), -0.1)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), t=st.floats(0.0, 8.0))
@@ -96,8 +95,8 @@ class TestBlockPropagator:
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
-        out = block_propagate(BlockState(amps, make_block(0.9, 0.35)), t)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        out = block_propagator(make_block(0.9, 0.35), t) @ amps
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_linearity(self):
         block = make_block(1.0, 0.5)
@@ -105,14 +104,10 @@ class TestBlockPropagator:
         e1 = np.array([1, 0, 0, 0], dtype=complex)
         e3 = np.array([0, 0, 1, 0], dtype=complex)
         combo = (e1 + 2j * e3) / math.sqrt(5)
-        out = block_propagate(BlockState(combo, block), t).amplitudes
-        parts = (block_propagate(BlockState(e1, block), t).amplitudes
-                 + 2j * block_propagate(BlockState(e3, block), t).amplitudes)
+        out = block_propagator(block, t) @ combo
+        parts = (block_propagator(block, t) @ e1
+                 + 2j * block_propagator(block, t) @ e3)
         assert np.allclose(out, parts / math.sqrt(5), atol=1e-14)
-
-    def test_block_state_needs_four_amplitudes(self):
-        with pytest.raises(ValueError):
-            BlockState(np.array([1.0, 0.0]), make_block(1.0, 0.2))
 
 
 class TestEvolveStatic:
@@ -121,8 +116,8 @@ class TestEvolveStatic:
         psi0 = basis_state(shape, "e", 1, 0)
         result = evolve_static(np.zeros((8, 8), dtype=complex), psi0,
                                [0.0, 1.0, 5.0])
-        for state in result.states:
-            assert np.array_equal(state.amplitudes, psi0.amplitudes)
+        for amps in result.amplitudes:
+            assert np.array_equal(amps, psi0.amplitudes)
 
     def test_carrier_rabi_closed_form(self):
         omega = 1.3
@@ -132,9 +127,9 @@ class TestEvolveStatic:
         psi0 = basis_state(shape, "g", 0, 0)
         times = [0.0, 0.4, 1.1, math.pi / (2 * omega)]
         result = evolve_static(h, psi0, times)
-        for t, state in zip(times, result.states):
+        for t, amps in zip(times, result.amplitudes):
             expected = np.array([math.cos(omega * t), -1j * math.sin(omega * t)])
-            assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+            assert np.max(np.abs(amps - expected)) < 1e-12
 
     def test_matches_scipy_expm(self):
         rng = np.random.default_rng(11)
@@ -156,9 +151,9 @@ class TestEvolveStatic:
         times = np.linspace(0.0, 10.0, 21)
         result = evolve_static(h, psi0, times)
         energies = []
-        for state in result.states:
-            assert state.norm() == pytest.approx(1.0, abs=1e-10)
-            energies.append(np.vdot(state.amplitudes, h @ state.amplitudes).real)
+        for amps in result.amplitudes:
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
+            energies.append(np.vdot(amps, h @ amps).real)
         spread = np.max(energies) - np.min(energies)
         scale = max(abs(np.max(energies)), np.max(np.abs(np.linalg.eigvalsh(h))))
         assert spread <= 1e-9 * scale
@@ -168,6 +163,19 @@ class TestEvolveStatic:
         psi0 = basis_state(shape, "e", 1, 1)
         result = evolve_static(np.zeros((8, 8), dtype=complex), psi0, [0.0, 1.0])
         assert np.array_equal(result.truncation_leak, [1.0, 1.0])
+
+    def test_rows_are_the_exact_per_time_product(self):
+        params = scaled_params(Omega=1.0)
+        shape = HilbertShape(5, 5)
+        h = build_ld_hamiltonian(params, shape)
+        psi0 = basis_state(shape, "g", 0, 0)
+        times = np.linspace(0.0, 7.0, 15)
+        result = evolve_static(h, psi0, times)
+        evals, vecs = np.linalg.eigh(h)
+        coeffs = vecs.conj().T @ psi0.amplitudes
+        for t, amps in zip(times, result.amplitudes):
+            assert np.array_equal(
+                amps, vecs @ (np.exp(-1j * evals * t) * coeffs))
 
     def test_non_hermitian_rejected(self):
         shape = HilbertShape(1, 1)
@@ -180,6 +188,39 @@ class TestEvolveStatic:
         with pytest.raises(ValueError):
             evolve_static(np.zeros((2, 2), dtype=complex),
                           basis_state(shape, "g", 0, 0), [0.0, 1.0, 0.5])
+
+
+def random_rows(shape, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    size = (n_rows, shape.total_dim)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+class TestEvolutionResult:
+    def test_truncation_leak_matches_label_loop_exactly(self):
+        shape = HilbertShape(12, 9)
+        amps = random_rows(shape, 20, seed=4)
+        result = EvolutionResult(np.arange(20.0), amps, shape, "static")
+        top = [shape.index(s, m, n) for s, m, n in shape.labels()
+               if m == shape.vib_dim - 1 or n == shape.cav_dim - 1]
+        expected = [np.sum((np.abs(row) ** 2)[top]) for row in amps]
+        assert np.array_equal(result.truncation_leak, expected)
+
+    def test_amplitudes_read_only_and_final_state(self):
+        shape = HilbertShape(2, 3)
+        amps = random_rows(shape, 3, seed=6)
+        result = EvolutionResult([0.0, 1.0, 2.0], amps, shape, "static")
+        with pytest.raises(ValueError):
+            result.amplitudes[0, 0] = 0.0
+        assert result.final_state.shape == shape
+        assert np.array_equal(result.final_state.amplitudes, amps[-1])
+
+    def test_row_count_and_width_must_match(self):
+        shape = HilbertShape(2, 2)
+        with pytest.raises(ValueError):
+            EvolutionResult([0.0, 1.0], np.zeros((3, 8)), shape, "static")
+        with pytest.raises(ValueError):
+            EvolutionResult([0.0, 1.0], np.zeros((2, 9)), shape, "static")
 
 
 def mild_lab_source():
@@ -210,8 +251,8 @@ class TestEvolveTimedep:
         psi0 = QuantumState(shape, amps / np.linalg.norm(amps))
         result = evolve_timedep(source, psi0, 1.0, dt=2e-3,
                                 store_times=[0.0, 0.5, 1.0])
-        for state in result.states:
-            assert np.allclose(state.populations(), psi0.populations(), atol=1e-9)
+        for amps in result.amplitudes:
+            assert np.allclose(np.abs(amps) ** 2, psi0.populations(), atol=1e-9)
 
     def test_fourth_order_self_convergence(self):
         params, shape, source = mild_lab_source()
@@ -253,12 +294,18 @@ class TestEvolveTimedep:
             evolve_timedep(lambda t: np.zeros((2, 2)), psi0, 1.0, dt=0.0)
 
 
+def held(state, times):
+    """Trajectory that keeps ``state`` at every one of ``times``."""
+    return EvolutionResult(times, np.tile(state.amplitudes, (len(times), 1)),
+                           state.shape, "static")
+
+
 class TestInteractionPicture:
     def test_identity_at_t_zero(self):
         shape = HilbertShape(2, 2)
         state = basis_state(shape, "e", 1, 0)
-        out = to_interaction_picture(state, scaled_params(), 0.0)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        out = to_interaction_picture(held(state, [0.0]), scaled_params())
+        assert np.array_equal(out.amplitudes[0], state.amplitudes)
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 1000), t=st.floats(0.0, 5.0))
@@ -267,8 +314,25 @@ class TestInteractionPicture:
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=shape.total_dim) + 1j * rng.normal(size=shape.total_dim)
         state = QuantumState(shape, amps / np.linalg.norm(amps))
-        out = to_interaction_picture(state, scaled_params(Omega=1.0), t)
-        assert np.allclose(out.populations(), state.populations(), atol=1e-12)
+        out = to_interaction_picture(held(state, [t]), scaled_params(Omega=1.0))
+        assert np.allclose(np.abs(out.amplitudes[0]) ** 2, state.populations(),
+                           atol=1e-12)
+
+    def test_matches_per_state_label_loop_exactly(self):
+        shape = HilbertShape(3, 4)
+        params = scaled_params(Omega=1.0)
+        times = np.array([0.0, 0.3, 1.7, 4.2])
+        amps = random_rows(shape, len(times), seed=8)
+        out = to_interaction_picture(
+            EvolutionResult(times, amps, shape, "timedep"), params)
+        energies = np.empty(shape.total_dim)
+        for s, m, n in shape.labels():
+            sign = 1.0 if s == "e" else -1.0
+            energies[shape.index(s, m, n)] = (params.nu * (m + 0.5)
+                                              + params.omega_c * n
+                                              + 0.5 * params.omega_0 * sign)
+        for t, row, rotated in zip(times, amps, out.amplitudes):
+            assert np.array_equal(rotated, np.exp(1j * energies * float(t)) * row)
 
     def test_free_lab_evolution_is_constant_in_interaction_picture(self):
         # with Omega = g = 0 the lab evolution is pure H0 phases, so the
@@ -282,6 +346,6 @@ class TestInteractionPicture:
         times = [0.0, 0.7, 1.4]
         result = evolve_timedep(source, psi0, times[-1], dt=1e-3,
                                 store_times=times)
-        for t, state in zip(times, result.states):
-            rotated = to_interaction_picture(state, params, t)
-            assert np.max(np.abs(rotated.amplitudes - psi0.amplitudes)) < 1e-8
+        rotated = to_interaction_picture(result, params)
+        assert np.array_equal(rotated.times, times)
+        assert np.max(np.abs(rotated.amplitudes - psi0.amplitudes)) < 1e-8

@@ -332,11 +332,11 @@ class TestSweep:
             sweep(scaled_params(), "coupling", [1.0], ("g", 0, 0),
                   "block_analytic")
 
-    def test_threaded_sweep_preserves_order(self):
+    def test_sweep_preserves_order(self):
         params = scaled_params(g=0.0)
         values = [1, 2, 3, 4]
         points = sweep(params, "p", values, ("g", 0, 0), "block_analytic",
-                       shape=HilbertShape(2, 2), threads=4)
+                       shape=HilbertShape(2, 2))
         assert [pt.value for pt in points] == values
         t_ps = [pt.t_p for pt in points]
         assert all(a < b for a, b in zip(t_ps, t_ps[1:]))

@@ -6,16 +6,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import o_k_series, scaled_params
+from conftest import o_k_oracle, scaled_params
 from ghz_sim.errors import ConfigurationError
 from ghz_sim.fock_core import HilbertShape, kron3, ladder_ops, pauli_ops
 from ghz_sim.hamiltonian import (SystemParams, build_block_hamiltonian,
-                                 build_lab_hamiltonian, build_ld_hamiltonian,
-                                 build_O_k, build_rwa_hamiltonian,
-                                 effective_coupling, matrix_element_F_c,
+                                 build_ld_hamiltonian, build_O_k,
+                                 build_rwa_hamiltonian, effective_coupling,
+                                 lab_hamiltonian_source, matrix_element_F_c,
                                  matrix_element_F_L)
 
-# values frozen from the independent series oracle in conftest.o_k_series
+# values frozen from the finite-series evaluation of <m|O_k|m>; the
+# independent Laguerre oracle conftest.o_k_oracle reproduces them within 1e-15
 O0_M1_ETA01 = 0.9850623544007555
 FL_M2_ETA01 = 0.9751619802327883
 FC_M1_ETA005 = 0.04993753904622905
@@ -35,13 +36,13 @@ class TestOkOperator:
     def test_m1_eta01_frozen_oracle_value(self):
         op = build_O_k(0, 0.1, 2)
         assert op[1, 1].real == pytest.approx(O0_M1_ETA01, abs=1e-15)
-        assert o_k_series(0, 0.1, 1) == pytest.approx(O0_M1_ETA01, abs=0)
+        assert o_k_oracle(0, 0.1, 1) == pytest.approx(O0_M1_ETA01, abs=0)
 
     def test_matches_independent_series_everywhere(self):
         for k in (0, 1, 2):
             for eta in (0.0, 0.1, 0.4):
                 op = build_O_k(k, eta, 7)
-                expected = [o_k_series(k, eta, m) for m in range(7)]
+                expected = [o_k_oracle(k, eta, m) for m in range(7)]
                 assert np.allclose(np.diag(op).real, expected, atol=1e-15)
 
     def test_entries_real_and_in_unit_interval_for_k0(self):
@@ -74,7 +75,7 @@ class TestMatrixElements:
 
     def test_FL_m2_frozen_oracle_value(self):
         assert matrix_element_F_L(2, 0.1) == pytest.approx(FL_M2_ETA01, abs=1e-15)
-        assert o_k_series(0, 0.1, 2) == pytest.approx(FL_M2_ETA01, abs=0)
+        assert o_k_oracle(0, 0.1, 2) == pytest.approx(FL_M2_ETA01, abs=1e-15)
 
     def test_Fc_lamb_dicke_limit(self):
         # F^c_{1,0} / eta_c -> 1 as eta_c -> 0
@@ -94,7 +95,7 @@ class TestMatrixElements:
 
     def test_Fc_general_matches_series(self):
         assert matrix_element_F_c(3, 0.2) == pytest.approx(
-            0.2 * math.sqrt(3) * o_k_series(1, 0.2, 2), abs=1e-15)
+            0.2 * math.sqrt(3) * o_k_oracle(1, 0.2, 2), abs=1e-15)
 
 
 def generic_lab_params():
@@ -132,10 +133,10 @@ class TestLabHamiltonian:
                               omega_0=10.0, omega_c=9.0, omega_L=10.0, phi=0.0)
         shape = HilbertShape(3, 3)
         t = 0.7
-        h = build_lab_hamiltonian(params, shape, t)
-        h0 = build_lab_hamiltonian(
+        h = lab_hamiltonian_source(params, shape)(t)
+        h0 = lab_hamiltonian_source(
             SystemParams(Omega=0.0, g=0.0, eta_L=0.0, eta_c=0.0, nu=1.0,
-                         omega_0=10.0, omega_c=9.0, omega_L=10.0), shape, t)
+                         omega_0=10.0, omega_c=9.0, omega_L=10.0), shape)(t)
         _, sp, sm = pauli_ops()
         carrier = 2.0 * (np.exp(-1j * 10.0 * t) * kron3(sp, np.eye(3), np.eye(3)))
         assert np.allclose(h - h0, carrier + carrier.conj().T, atol=1e-12)
@@ -146,11 +147,11 @@ class TestLabHamiltonian:
                               omega_0=10.0, omega_c=9.0, omega_L=10.0,
                               phi=np.pi / 2)
         shape = HilbertShape(2, 3)
-        h = build_lab_hamiltonian(params, shape, 0.0)
-        h0 = build_lab_hamiltonian(
+        h = lab_hamiltonian_source(params, shape)(0.0)
+        h0 = lab_hamiltonian_source(
             SystemParams(Omega=0.0, g=0.0, eta_L=0.0, eta_c=0.0, nu=1.0,
                          omega_0=10.0, omega_c=9.0, omega_L=10.0,
-                         phi=np.pi / 2), shape, 0.0)
+                         phi=np.pi / 2), shape)(0.0)
         _, sp, sm = pauli_ops()
         blow, bup = ladder_ops(3)
         expected = 1.5 * kron3(sp + sm, np.eye(2), bup + blow)
@@ -160,12 +161,12 @@ class TestLabHamiltonian:
     def test_matches_independent_assembly(self, t):
         params = generic_lab_params()
         shape = HilbertShape(4, 3)
-        h = build_lab_hamiltonian(params, shape, t)
+        h = lab_hamiltonian_source(params, shape)(t)
         assert np.max(np.abs(h - lab_oracle(params, shape, t))) < 1e-11
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.3])
     def test_hermitian_at_every_time(self, t):
-        h = build_lab_hamiltonian(generic_lab_params(), HilbertShape(4, 3), t)
+        h = lab_hamiltonian_source(generic_lab_params(), HilbertShape(4, 3))(t)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
@@ -345,7 +346,7 @@ def test_every_builder_hermitian(omega, g, eta_l, eta_c, phi):
     shape = HilbertShape(3, 3)
     for h in (build_rwa_hamiltonian(params, shape),
               build_ld_hamiltonian(params, shape),
-              build_lab_hamiltonian(params, shape, 0.31),
+              lab_hamiltonian_source(params, shape)(0.31),
               build_block_hamiltonian(params, 1, 1)[0],
               build_block_hamiltonian(params, 2, 1, ld_limit=False)[0]):
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
