@@ -46,7 +46,7 @@ def study_point(eta_c: float, dim: int, model: str):
     return fidelity(result.final_state, tgt), leak, worst_top
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eta-c", default="0.02,0.05,0.1")
     parser.add_argument("--dims", default="6,8,10")
@@ -54,7 +54,7 @@ def main():
                         help="dressed model by default; the tuned LD model "
                              "depends only on Omega and g*eta_c, so its rows "
                              "do not vary with eta_c")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("eta_c,dim,fidelity,block_leakage,max_top_level_population")
     for eta_c in (float(v) for v in args.eta_c.split(",")):

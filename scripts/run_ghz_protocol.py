@@ -19,14 +19,14 @@ OMEGA_0 = 200.0 * NU
 INITIAL_STATES = (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1))
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shape", default="8x8",
                         help="truncation for the full model (default 8x8; the "
                              "upper-pair initial states leak higher up the "
                              "ladder than (g,0,0) does)")
     parser.add_argument("--p", type=int, default=1, help="pulse index")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     vib, cav = (int(v) for v in args.shape.split("x"))
     shape = HilbertShape(vib, cav)

@@ -43,14 +43,14 @@ def infidelity_at(ratio: float, shape: HilbertShape, time_fraction: float) -> fl
     return 1.0 - overlap
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ratios", default="5,10,20",
                         help="nu/Omega hierarchy ratios (comma list)")
     parser.add_argument("--shape", default="3x3")
     parser.add_argument("--time-fraction", type=float, default=0.05,
                         help="fraction of t_p to evolve (default 0.05)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     vib, cav = (int(v) for v in args.shape.split("x"))
     shape = HilbertShape(vib, cav)

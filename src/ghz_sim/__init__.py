@@ -9,8 +9,9 @@ from .evolution import (EvolutionResult, block_propagator, evolve_static,
                         evolve_timedep, to_interaction_picture)
 from .fock_core import (HilbertShape, QuantumState, basis_state, embed,
                         kron3, ladder_ops, partial_trace, pauli_ops)
-from .ghz_protocol import (FidelityReport, ProtocolSchedule, SweepPoint,
-                           fidelity, ghz_schedule, run_protocol, sweep,
+from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
+                           SweepPoint, fidelity, ghz_schedule,
+                           protocol_timeseries, run_protocol, sweep,
                            target_state, tune_coupling)
 from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
                           build_ld_hamiltonian, build_O_k,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from . import checks as checks_mod
 from .errors import AccuracyError, ConfigurationError, TruncationError
 from .fock_core import HilbertShape, ION_LABELS
 from .ghz_protocol import (ghz_schedule, parse_label, protocol_timeseries,
-                           sweep)
+                           pulse_times, sweep)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -119,8 +120,15 @@ def config_time(config: dict, key: str) -> float | None:
     raw = config.get(key)
     if raw is None:
         return None
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{key} must be a finite number > 0, got {raw!r}")
     scale = US if config.get("units", "mhz") == "mhz" else 1.0
-    return float(raw) * scale
+    return value * scale
 
 
 def resolve_model(name: str) -> str:
@@ -168,26 +176,25 @@ def read_table(path: str, file_format: str | None = None
     return columns, [[float(v) for v in ln.split(",")] for ln in lines[1:]]
 
 
-def _label_sort_key(label: str) -> tuple[int, int, int]:
-    s, m, n = label.split(",")
-    return (ION_LABELS.index(s), int(m), int(n))
+def population_columns(shape: HilbertShape, populations: np.ndarray
+                       ) -> tuple[list[str], np.ndarray]:
+    """pop_* names and values of the basis states of ``shape`` whose floored
+    population is nonzero in any row of ``populations``, in index order."""
+    index = np.flatnonzero(populations.any(axis=0))
+    ion, m, n = np.unravel_index(index, (shape.ion_dim, shape.vib_dim,
+                                         shape.cav_dim))
+    names = [f"pop_{ION_LABELS[s]}_{a}_{b}" for s, a, b in zip(ion, m, n)]
+    return names, populations[:, index]
 
 
 def series_table(series) -> tuple[list[str], list[list[float]]]:
-    """Flatten (t, FidelityReport) rows into fixed columns; the union of all
-    populated labels becomes pop_* columns in basis-index order. Times are
+    """Flatten a ProtocolSeries into fixed and pop_* columns. Times are
     emitted in microseconds regardless of the input unit system."""
-    labels = sorted({lbl for _, rep in series for lbl in rep.populations},
-                    key=_label_sort_key)
-    columns = (["t_us"]
-               + [f"pop_{lbl.replace(',', '_')}" for lbl in labels]
-               + ["fidelity", "norm", "block_leakage"])
-    rows = []
-    for t, rep in series:
-        rows.append([t / US]
-                    + [rep.populations.get(lbl, 0.0) for lbl in labels]
-                    + [rep.fidelity, rep.norm, rep.block_leakage])
-    return columns, rows
+    names, pops = population_columns(series.shape, series.populations)
+    columns = ["t_us"] + names + ["fidelity", "norm", "block_leakage"]
+    return columns, np.column_stack([series.times / US, pops, series.fidelity,
+                                     series.norm,
+                                     series.block_leakage]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +219,35 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_ghz(args) -> int:
+def _run_config(args):
+    """Config, params, tune flag, shape, model and initial label of a run."""
     config = load_config(args.config, {
         "model": args.model, "shape": args.shape, "p": args.p,
         "format": args.format, "output": args.output,
     })
     params, tune = build_params(config)
-    shape = parse_shape(config["shape"])
-    model = resolve_model(config["model"])
-    initial = parse_label(config["initial"])
+    return (config, params, tune, parse_shape(config["shape"]),
+            resolve_model(config["model"]), parse_label(config["initial"]))
+
+
+def cmd_ghz(args) -> int:
+    config, params, tune, shape, model, initial = _run_config(args)
     m, n, p = int(config["m"]), int(config["n"]), int(config["p"])
-    n_times = int(config["n_times"])
-    if n_times < 2:
-        raise ConfigurationError(
-            f"n_times must be >= 2 (the series runs from t = 0 to t_p), "
-            f"got {n_times}")
 
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t,
                            a_t_product=schedule.block.a * explicit_t)
-    run_params = replace(params, g=schedule.tuned_g)
 
-    times = np.linspace(0.0, schedule.t_p, n_times)
-    series = protocol_timeseries(run_params, initial, model, schedule, times,
+    times = pulse_times(schedule.t_p, int(config["n_times"]))
+    series = protocol_timeseries(params, initial, model, schedule, times,
                                  shape=shape, dt=config_time(config, "dt"))
 
     columns, rows = series_table(series)
     write_table(config["output"], columns, rows, config["format"])
 
-    final = series[-1][1]
+    final = series.final
     print(f"ghz model={model} initial={config['initial']} p={schedule.p} "
           f"t_p={fmt(schedule.t_p / US)} us "
           f"tuned_g={fmt(schedule.tuned_g / MHZ)} MHz "
@@ -271,14 +276,7 @@ def parse_values(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, {
-        "model": args.model, "shape": args.shape, "p": args.p,
-        "format": args.format, "output": args.output,
-    })
-    params, tune = build_params(config)
-    shape = parse_shape(config["shape"])
-    model = resolve_model(config["model"])
-    initial = parse_label(config["initial"])
+    config, params, tune, shape, model, initial = _run_config(args)
     values = parse_values(args.values)
     if args.axis == "dt":
         scale = US if config.get("units", "mhz") == "mhz" else 1.0
@@ -288,16 +286,21 @@ def cmd_sweep(args) -> int:
                    m=int(config["m"]), n=int(config["n"]), p=int(config["p"]),
                    dt=config_time(config, "dt"), tune=not args.no_tune)
 
-    labels = sorted({lbl for pt in points for lbl in pt.report.populations},
-                    key=_label_sort_key)
-    columns = ([args.axis, "t_p_us", "tuned_g_MHz",
-                "fidelity", "norm", "block_leakage"]
-               + [f"pop_{lbl.replace(',', '_')}" for lbl in labels])
-    rows = []
-    for pt in points:
-        rows.append([pt.value, pt.t_p / US, pt.tuned_g / MHZ,
-                     pt.report.fidelity, pt.report.norm, pt.report.block_leakage]
-                    + [pt.report.populations.get(lbl, 0.0) for lbl in labels])
+    # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
+    outer = HilbertShape(vib_dim=max(pt.shape.vib_dim for pt in points),
+                         cav_dim=max(pt.shape.cav_dim for pt in points))
+    grid = np.zeros((len(points), outer.ion_dim, outer.vib_dim, outer.cav_dim))
+    for cube, pt in zip(grid, points):
+        sh = pt.shape
+        cube[:, :sh.vib_dim, :sh.cav_dim] = pt.report.populations.reshape(
+            sh.ion_dim, sh.vib_dim, sh.cav_dim)
+    names, pops = population_columns(outer, grid.reshape(len(points), -1))
+    columns = [args.axis, "t_p_us", "tuned_g_MHz",
+               "fidelity", "norm", "block_leakage"] + names
+    rows = np.column_stack([[[pt.value, pt.t_p / US, pt.tuned_g / MHZ,
+                              pt.report.fidelity, pt.report.norm,
+                              pt.report.block_leakage] for pt in points],
+                            pops]).tolist()
     write_table(config["output"], columns, rows, config["format"])
     print(f"sweep axis={args.axis} points={len(points)} model={model} "
           f"output={config['output']}")
@@ -354,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except (AccuracyError, TruncationError) as exc:
         print(f"ghz-sim: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ValueError, IndexError) as exc:
-        print(f"ghz-sim: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, ValueError, IndexError, OSError) as exc:
         print(f"ghz-sim: {exc}", file=sys.stderr)
         return 2
 

@@ -60,15 +60,15 @@ class EvolutionResult:
     whose row i is the state at ``times[i]``; a complex array passed in is
     marked read-only, not copied. ``truncation_leak[i]`` is that
     row's population in the top vibrational or top cavity level, the
-    truncation diagnostic; ``norm_drift`` is the largest deviation of any
-    norm from 1 seen by the engine.
+    truncation diagnostic, and ``norms[i]`` its norm, taken on first read;
+    ``norm_drift`` is the largest deviation of any norm from 1 seen by the
+    engine, by default that of ``norms``.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
     shape: HilbertShape
-    model_tag: str
-    norm_drift: float = 0.0
+    norm_drift: float | None = None
     truncation_leak: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -91,6 +91,14 @@ class EvolutionResult:
         top = np.abs(amps.compress(_top_level_mask(self.shape), axis=1))
         object.__setattr__(self, "truncation_leak",
                            np.sum(np.square(top, out=top), axis=1))
+        if self.norm_drift is None:
+            object.__setattr__(self, "norm_drift", float(
+                np.max(np.abs(self.norms - 1.0), initial=0.0)))
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        # row by row: an axis=1 norm sums in another order (outputs move)
+        return np.array([np.linalg.norm(row) for row in self.amplitudes])
 
     @property
     def final_state(self) -> QuantumState:
@@ -161,16 +169,12 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     coeffs = vecs.conj().T @ initial.amplitudes
 
     # one exact product per time; a single (D x D) @ (D x T) matmul would
-    # reorder the sums and move the written 12-digit outputs; the norms are
-    # taken row by row too, as an axis=1 norm builds two (T, D) temporaries
+    # reorder the sums and move the written 12-digit outputs
     times = np.asarray(times, dtype=float)
     amps = np.empty((len(times), len(coeffs)), dtype=complex)
-    drift = 0.0
     for i, t in enumerate(times):
         amps[i] = vecs @ (np.exp(-1j * evals * t) * coeffs)
-        drift = max(drift, abs(float(np.linalg.norm(amps[i])) - 1.0))
-    return EvolutionResult(times, amps, initial.shape, "static",
-                           norm_drift=drift)
+    return EvolutionResult(times, amps, initial.shape)
 
 
 def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
@@ -253,8 +257,7 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         drift = max(drift, seg_drift)
         t_now = t
         amps[i] = psi
-    return EvolutionResult(store_times, amps, initial.shape, "timedep",
-                           norm_drift=drift)
+    return EvolutionResult(store_times, amps, initial.shape, norm_drift=drift)
 
 
 def to_interaction_picture(result: EvolutionResult,

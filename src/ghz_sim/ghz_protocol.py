@@ -9,14 +9,13 @@ three-party state of ion, phonon pair and photon pair.
 Four model levels can execute the same schedule: the closed-form block
 propagator, the full Lamb-Dicke Hamiltonian, the dressed RWA Hamiltonian and
 the time-dependent lab-frame model (scored after transforming back into the
-interaction picture). Reports carry fidelity against the scheduled target,
-the population that escaped the 4-state block, and all significantly occupied
-basis states.
+interaction picture). A run is scored at all its sample times at once, as
+arrays of the fidelity against the scheduled target, the norm, the population
+that escaped the 4-state block and the basis populations.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -24,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError
-from .evolution import (block_propagator, evolve_static, evolve_timedep,
-                        to_interaction_picture)
+from .evolution import (EvolutionResult, block_propagator, evolve_static,
+                        evolve_timedep, to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
@@ -67,13 +66,34 @@ class ProtocolSchedule:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Score of one protocol run at a single time."""
+    """Score of one protocol run at a single time: one ProtocolSeries row."""
 
     fidelity: float
     block_leakage: float
-    populations: dict[str, float]
-    model_tag: str
+    populations: np.ndarray
     norm: float
+
+
+@dataclass(frozen=True)
+class ProtocolSeries:
+    """Scores of one protocol run as read-only arrays, row i at ``times[i]``:
+    (T,) ``fidelity``, ``norm``, ``block_leakage`` and (T, shape.total_dim)
+    ``populations`` (column ``shape.index(s, m, n)``; 0 at or below floor)."""
+
+    shape: HilbertShape
+    times: np.ndarray
+    fidelity: np.ndarray
+    norm: np.ndarray
+    block_leakage: np.ndarray
+    populations: np.ndarray
+
+    @property
+    def final(self) -> FidelityReport:
+        """Score at the last time, holding a copy of that one row only."""
+        return FidelityReport(fidelity=float(self.fidelity[-1]),
+                              block_leakage=float(self.block_leakage[-1]),
+                              populations=self.populations[-1].copy(),
+                              norm=float(self.norm[-1]))
 
 
 def tune_coupling(Omega: float, eta_c: float, p: int = 1) -> float:
@@ -89,10 +109,6 @@ def tune_coupling(Omega: float, eta_c: float, p: int = 1) -> float:
     return Omega / (eta_c * math.sqrt(16.0 * p * p - 1.0))
 
 
-def flip(s: str) -> str:
-    return "e" if s == "g" else "g"
-
-
 def target_state(initial_label: Label, shape: HilbertShape, m: int = 1,
                  n: int = 1, p: int = 1) -> QuantumState:
     """Post-pulse target for a basis initial state of the (m, n) block.
@@ -104,10 +120,11 @@ def target_state(initial_label: Label, shape: HilbertShape, m: int = 1,
     table |g,0,0> -> -(1/sqrt2)(|g,0,0> - i|e,1,1>) and its companions.
     """
     s, mm, nn = initial_label
+    flipped = "e" if s == "g" else "g"
     if (mm, nn) == (m, n):
-        partner = (flip(s), m - 1, n - 1)
+        partner = (flipped, m - 1, n - 1)
     elif (mm, nn) == (m - 1, n - 1):
-        partner = (flip(s), m, n)
+        partner = (flipped, m, n)
     else:
         raise ValueError(
             f"initial label {format_label(initial_label)} is not in the "
@@ -157,16 +174,6 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                             tuned_g=params.g, block=block, target=target)
 
 
-def _block_indices(shape: HilbertShape, block: BlockParams) -> list[int]:
-    return [shape.index(*lbl) for lbl in block_basis_labels(block.m, block.n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _label_strings(shape: HilbertShape) -> tuple[str, ...]:
-    """Formatted labels of every basis state, in flat-index order."""
-    return tuple(format_label(lbl) for lbl in shape.labels())
-
-
 def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
     """Step size for a lab-frame run: inside the resolution guard and small
     enough that the accumulated RK4 norm drift (about t lambda^6 dt^5 / 144,
@@ -183,28 +190,21 @@ def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
 
 def _evolve_states(params: SystemParams, initial_label: Label, model: str,
                    schedule: ProtocolSchedule, shape: HilbertShape,
-                   times: np.ndarray, dt: float | None) -> np.ndarray:
-    """Evolve the initial basis state to each requested time under the model.
-
-    Returns the (len(times), shape.total_dim) amplitude array; full-space runs
-    pass the truncation guard first.
-    """
+                   times: np.ndarray, dt: float | None) -> EvolutionResult:
+    """Evolve the initial basis state to each requested time under the model;
+    full-space runs pass the truncation guard first."""
     run_params = replace(params, g=schedule.tuned_g)
     initial = basis_state(shape, *initial_label)
 
     if model == "block_analytic":
+        # target_state has already rejected labels outside the block
         labels = block_basis_labels(schedule.block.m, schedule.block.n)
-        if initial_label not in labels:
-            raise ValueError(
-                f"initial state {format_label(initial_label)} is outside the "
-                "4-state block; use a full-space model")
-        start = np.zeros(4, dtype=complex)
-        start[labels.index(initial_label)] = 1.0
-        idx = _block_indices(shape, schedule.block)
+        col = labels.index(initial_label)
+        idx = [shape.index(*lbl) for lbl in labels]
         amps = np.zeros((len(times), shape.total_dim), dtype=complex)
         for i, t in enumerate(times):
-            amps[i, idx] = block_propagator(schedule.block, float(t)) @ start
-        return amps
+            amps[i, idx] = block_propagator(schedule.block, float(t))[:, col]
+        return EvolutionResult(times, amps, shape)
 
     if model == "ld_full":
         result = evolve_static(build_ld_hamiltonian(run_params, shape),
@@ -224,61 +224,56 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
     else:
         raise ValueError(
             f"unknown model {model!r}, expected one of {MODEL_TAGS}")
-    _check_truncation(shape, result.truncation_leak)
-    return result.amplitudes
-
-
-def _check_truncation(shape: HilbertShape, leaks: np.ndarray):
-    worst = leaks.max()
+    worst = result.truncation_leak.max()
     if worst > TRUNCATION_LIMIT:
         raise TruncationError(
             f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
             f"rerun with shape at least "
             f"{shape.vib_dim + 2}x{shape.cav_dim + 2}")
+    return result
 
 
 def protocol_timeseries(params: SystemParams, initial_label: Label, model: str,
                         schedule: ProtocolSchedule, times: Sequence[float],
                         shape: HilbertShape | None = None,
-                        dt: float | None = None
-                        ) -> list[tuple[float, FidelityReport]]:
-    """Run the protocol and score the state at every requested time.
-
-    Each report carries |<target|psi>|^2, the population outside the 4-state
-    block (0 for the block model), every basis population above
-    POPULATION_FLOOR keyed by its label, and the norm.
-    """
+                        dt: float | None = None) -> ProtocolSeries:
+    """Run the protocol and score the state at every requested time: per
+    time |<target|psi>|^2, the norm, the population outside the 4-state block
+    (0 for the block model) and the floored basis populations."""
     if shape is None:
         shape = schedule.target.shape
     times = np.asarray(times, dtype=float)
     target = target_state(initial_label, shape, m=schedule.block.m,
                           n=schedule.block.n, p=schedule.p).amplitudes
-    amps = _evolve_states(params, initial_label, model, schedule, shape,
-                          times, dt)
+    result = _evolve_states(params, initial_label, model, schedule, shape,
+                            times, dt)
     # squared in place: the same x * x as ** 2 without a second (T, D)
     # temporary, so an op's heap peak stays that of the per-state code
-    pops = np.abs(amps)
+    pops = np.abs(result.amplitudes)
     np.square(pops, out=pops)
     if model == "block_analytic":
         leakage = np.zeros(len(times))
     else:
         # summed left to right, one block state at a time
-        in_block = sum(pops[:, i]
-                       for i in _block_indices(shape, schedule.block))
+        in_block = sum(pops[:, shape.index(*lbl)] for lbl in
+                       block_basis_labels(schedule.block.m, schedule.block.n))
         leakage = np.maximum(1.0 - in_block, 0.0)
-    labels = _label_strings(shape)
-    series = []
-    for t, row, row_pops, leak in zip(times, amps, pops, leakage):
-        populations = {labels[i]: float(row_pops[i])
-                       for i in np.flatnonzero(row_pops > POPULATION_FLOOR)}
-        series.append((float(t), FidelityReport(
-            fidelity=float(abs(np.vdot(target, row)) ** 2),
-            block_leakage=float(leak),
-            populations=populations,
-            model_tag=model,
-            norm=float(np.linalg.norm(row)),
-        )))
-    return series
+    pops[pops <= POPULATION_FLOOR] = 0.0
+    # one np.vdot per row: a batched product sums in another order
+    fid = np.array([abs(np.vdot(target, row)) ** 2
+                    for row in result.amplitudes])
+    series = (result.times.copy(), fid, result.norms, leakage, pops)
+    for values in series:
+        values.flags.writeable = False
+    return ProtocolSeries(shape, *series)
+
+
+def pulse_times(t_p: float, n_times: int) -> np.ndarray:
+    """The grid of n_times >= 2 uniform samples from 0 to t_p of a pulse."""
+    if n_times < 2:
+        raise ConfigurationError(f"n_times must be >= 2 (the series runs "
+                                 f"from t = 0 to t_p), got {n_times}")
+    return np.linspace(0.0, t_p, n_times)
 
 
 def run_protocol(params: SystemParams, initial_label: Label, model: str,
@@ -286,13 +281,12 @@ def run_protocol(params: SystemParams, initial_label: Label, model: str,
                  dt: float | None = None, n_times: int = 101) -> FidelityReport:
     """Evolve the initial state to t_p under the chosen model and score it.
 
-    The run is sampled on a uniform grid (n_times points) so the truncation
-    diagnostic sees the whole trajectory, not just the endpoint.
+    The run is sampled on :func:`pulse_times` so the truncation diagnostic
+    sees the whole trajectory; the report scores the final sample.
     """
-    times = np.linspace(0.0, schedule.t_p, n_times)
-    series = protocol_timeseries(params, initial_label, model, schedule, times,
-                                 shape=shape, dt=dt)
-    return series[-1][1]
+    times = pulse_times(schedule.t_p, n_times)
+    return protocol_timeseries(params, initial_label, model, schedule, times,
+                               shape=shape, dt=dt).final
 
 
 SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
@@ -304,6 +298,7 @@ class SweepPoint:
     value: float
     t_p: float
     tuned_g: float
+    shape: HilbertShape
     report: FidelityReport
 
 
@@ -324,7 +319,7 @@ def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
     report = run_protocol(params, initial_label, model, schedule, shape=shape,
                           dt=dt)
     return SweepPoint(axis=axis, value=float(value), t_p=schedule.t_p,
-                      tuned_g=schedule.tuned_g, report=report)
+                      tuned_g=schedule.tuned_g, shape=shape, report=report)
 
 
 def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Label,

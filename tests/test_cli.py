@@ -1,10 +1,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import fmt, main, read_table
+from ghz_sim.evolution import block_propagator
+from ghz_sim.fock_core import ION_LABELS, HilbertShape
+from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ghz_schedule,
+                                  run_protocol)
+from ghz_sim.hamiltonian import block_basis_labels
+
+from conftest import scaled_params
 
 # the two cross-checks tying the closed-form propagator to the 4x4 block
 # matrix fail by the intrinsic sideband factor-2 discrepancy; everything
@@ -131,6 +139,39 @@ class TestGhzCommand:
         assert rows[-1][0] == pytest.approx(0.1, rel=1e-12)
 
 
+    def test_population_column_appearing_mid_series(self, tmp_path):
+        # from |e,1,1> the carrier fills |g,1,1> (lower flat index) from 0:
+        # above POPULATION_FLOOR only from the fourth sample on
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"initial": "e,1,1", "t": 5e-4,
+                                   "n_times": 11}))
+        out_file = tmp_path / "short.csv"
+        assert run_cli("ghz", "--shape", "2x2", "--config", str(cfg),
+                       "--output", str(out_file)) == 0
+        columns, rows = read_table(str(out_file))
+
+        shape = HilbertShape(2, 2)
+        schedule = ghz_schedule(scaled_params(), shape=shape)
+        labels = block_basis_labels(1, 1)
+        col = labels.index(("e", 1, 1))
+        raw = np.zeros((11, shape.total_dim))
+        for i, t in enumerate(np.linspace(0.0, 5e-4 * 1e-6, 11)):
+            amps = block_propagator(schedule.block, t)[:, col]
+            raw[i, [shape.index(*lbl) for lbl in labels]] = np.abs(amps) ** 2
+        g11, e11 = shape.index("g", 1, 1), shape.index("e", 1, 1)
+        assert 0.0 < raw[1, g11] <= POPULATION_FLOOR < raw[-1, g11]
+
+        above = [i for i in range(shape.total_dim)
+                 if (raw[:, i] > POPULATION_FLOOR).any()]
+        assert above == [g11, e11]
+        assert columns == ["t_us", "pop_g_1_1", "pop_e_1_1", "fidelity",
+                           "norm", "block_leakage"]
+        for row, raw_row in zip(rows, raw):
+            for value, i in zip(row[1:3], above):
+                expected = raw_row[i] if raw_row[i] > POPULATION_FLOOR else 0.0
+                assert fmt(value) == fmt(expected)
+
+
 class TestExitCodes:
     def test_truncation_failure_exits_one(self, tmp_path, capsys):
         rc = run_cli("ghz", "--model", "ld", "--shape", "4x4",
@@ -179,6 +220,20 @@ class TestExitCodes:
         assert "n_times must be >= 2" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("key", ["t", "dt"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "0"])
+    def test_bad_time_exits_two(self, tmp_path, capsys, key, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"{key}": {raw}}}')
+        out_file = tmp_path / "x.csv"
+        for model in ("block", "lab"):
+            rc = run_cli("ghz", "--model", model, "--config", str(cfg),
+                         "--output", str(out_file))
+            assert rc == 2
+            assert f"{key} must be a finite number > 0" in \
+                capsys.readouterr().err
+            assert not out_file.exists()
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))
@@ -214,6 +269,33 @@ class TestSweepCommand:
         columns, rows = read_table(str(out_file))
         fids = [r[columns.index("fidelity")] for r in rows]
         assert fids[0] < fids[1] < fids[2]
+
+    def test_population_columns_over_shapes_in_index_order(self, tmp_path):
+        # points of a vib_dim sweep have different shapes; every label
+        # populated at any point gets one column, in (s, m, n) order, and
+        # the 6x6 point populates |g,5,5>, which the 5x6 point lacks
+        out_file = tmp_path / "vib.csv"
+        assert run_cli("sweep", "vib_dim", "6,5", "--model", "ld",
+                       "--shape", "6x6", "--output", str(out_file)) == 0
+        columns, rows = read_table(str(out_file))
+        params = scaled_params()
+        reports = {}
+        for vib in (6, 5):
+            shape = HilbertShape(vib, 6)
+            reports[vib] = (shape, run_protocol(
+                params, ("g", 0, 0), "ld_full",
+                ghz_schedule(params, shape=shape, tune=True), shape=shape))
+        union = sorted({lbl for shape, rep in reports.values()
+                        for lbl in shape.labels()
+                        if rep.populations[shape.index(*lbl)] > 0.0},
+                       key=lambda lbl: (ION_LABELS.index(lbl[0]), *lbl[1:]))
+        assert ("g", 5, 5) in union
+        assert columns[6:] == [f"pop_{s}_{m}_{n}" for s, m, n in union]
+        for row, (shape, rep) in zip(rows, reports.values()):
+            for value, (s, m, n) in zip(row[6:], union):
+                expected = (rep.populations[shape.index(s, m, n)]
+                            if m < shape.vib_dim else 0.0)
+                assert fmt(value) == fmt(expected)
 
     def test_sweep_output_reparses(self, tmp_path):
         csv_f = tmp_path / "s.csv"

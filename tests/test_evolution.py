@@ -200,7 +200,7 @@ class TestEvolutionResult:
     def test_truncation_leak_matches_label_loop_exactly(self):
         shape = HilbertShape(12, 9)
         amps = random_rows(shape, 20, seed=4)
-        result = EvolutionResult(np.arange(20.0), amps, shape, "static")
+        result = EvolutionResult(np.arange(20.0), amps, shape)
         top = [shape.index(s, m, n) for s, m, n in shape.labels()
                if m == shape.vib_dim - 1 or n == shape.cav_dim - 1]
         expected = [np.sum((np.abs(row) ** 2)[top]) for row in amps]
@@ -209,7 +209,7 @@ class TestEvolutionResult:
     def test_amplitudes_read_only_and_final_state(self):
         shape = HilbertShape(2, 3)
         amps = random_rows(shape, 3, seed=6)
-        result = EvolutionResult([0.0, 1.0, 2.0], amps, shape, "static")
+        result = EvolutionResult([0.0, 1.0, 2.0], amps, shape)
         with pytest.raises(ValueError):
             result.amplitudes[0, 0] = 0.0
         assert result.final_state.shape == shape
@@ -218,9 +218,9 @@ class TestEvolutionResult:
     def test_row_count_and_width_must_match(self):
         shape = HilbertShape(2, 2)
         with pytest.raises(ValueError):
-            EvolutionResult([0.0, 1.0], np.zeros((3, 8)), shape, "static")
+            EvolutionResult([0.0, 1.0], np.zeros((3, 8)), shape)
         with pytest.raises(ValueError):
-            EvolutionResult([0.0, 1.0], np.zeros((2, 9)), shape, "static")
+            EvolutionResult([0.0, 1.0], np.zeros((2, 9)), shape)
 
 
 def mild_lab_source():
@@ -297,7 +297,7 @@ class TestEvolveTimedep:
 def held(state, times):
     """Trajectory that keeps ``state`` at every one of ``times``."""
     return EvolutionResult(times, np.tile(state.amplitudes, (len(times), 1)),
-                           state.shape, "static")
+                           state.shape)
 
 
 class TestInteractionPicture:
@@ -324,7 +324,7 @@ class TestInteractionPicture:
         times = np.array([0.0, 0.3, 1.7, 4.2])
         amps = random_rows(shape, len(times), seed=8)
         out = to_interaction_picture(
-            EvolutionResult(times, amps, shape, "timedep"), params)
+            EvolutionResult(times, amps, shape), params)
         energies = np.empty(shape.total_dim)
         for s, m, n in shape.labels():
             sign = 1.0 if s == "e" else -1.0

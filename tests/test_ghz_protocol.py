@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from conftest import scaled_params
 from ghz_sim.errors import ConfigurationError, TruncationError
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, partial_trace
-from ghz_sim.ghz_protocol import (ProtocolSchedule, fidelity, ghz_schedule,
-                                  protocol_timeseries, run_protocol, sweep,
-                                  target_state, tune_coupling)
-from ghz_sim.hamiltonian import BlockParams
+from ghz_sim import ghz_protocol
+from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule, fidelity,
+                                  ghz_schedule, protocol_timeseries,
+                                  run_protocol, sweep, target_state,
+                                  tune_coupling)
+from ghz_sim.hamiltonian import BlockParams, block_basis_labels
 
 # frozen from the closed-form arithmetic: g = Omega / (eta_c sqrt(15)) for
 # Omega = 8.95e6 rad/s, eta_c = 0.05, and t_1 = pi sqrt(15) / (4 Omega)
@@ -201,7 +203,7 @@ class TestRunProtocol:
         assert report.fidelity < 1.0
         assert report.block_leakage > 0.0
         assert report.norm == pytest.approx(1.0, abs=1e-9)
-        assert abs(1.0 - sum(report.populations.values())) < 1e-4
+        assert abs(1.0 - report.populations.sum()) < 1e-4
 
     def test_carrier_flip_with_g_zero(self):
         # g = 0 for time pi/(2 Omega) is a bare carrier pi-pulse:
@@ -218,8 +220,11 @@ class TestRunProtocol:
                                     target=target_state(("g", 0, 0), shape))
         series = protocol_timeseries(params, ("g", 0, 0), "ld_full", schedule,
                                      [0.0, t], shape=shape)
-        final = series[-1][1]
-        assert final.populations == pytest.approx({"e,0,0": 1.0})
+        final = series.final
+        assert np.flatnonzero(final.populations).tolist() == \
+            [shape.index("e", 0, 0)]
+        assert final.populations[shape.index("e", 0, 0)] == \
+            pytest.approx(1.0)
         assert final.fidelity == pytest.approx(0.0, abs=1e-12)
         flipped_target = target_state(("e", 0, 0), shape)
         state_amps = np.zeros(shape.total_dim, dtype=complex)
@@ -259,9 +264,28 @@ class TestRunProtocol:
                                   times, shape=shape)
         rwa = protocol_timeseries(params, ("g", 0, 0), "rwa_full", schedule,
                                   times, shape=shape)
-        assert lab[-1][1].fidelity == pytest.approx(rwa[-1][1].fidelity,
-                                                    abs=5e-3)
-        assert lab[-1][1].norm == pytest.approx(1.0, abs=1e-6)
+        assert lab.fidelity[-1] == pytest.approx(rwa.fidelity[-1], abs=5e-3)
+        assert lab.norm[-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("model", ["block_analytic", "ld_full"])
+    @pytest.mark.parametrize("n_times", [0, 1])
+    def test_too_few_samples_rejected(self, model, n_times):
+        # one sample would report the t = 0 state as the pulse result
+        shape = HilbertShape(6, 6)
+        params = scaled_params()
+        schedule = ghz_schedule(params, shape=shape)
+        with pytest.raises(ConfigurationError, match="n_times must be >= 2"):
+            run_protocol(params, ("g", 0, 0), model, schedule, shape=shape,
+                         n_times=n_times)
+
+    @pytest.mark.parametrize("times", [[0.0, 1e-7, 1e-7], [0.0, 2e-7, 1e-7]])
+    def test_block_model_rejects_non_increasing_times(self, times):
+        shape = HilbertShape(2, 2)
+        params = scaled_params()
+        schedule = ghz_schedule(params, shape=shape)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            protocol_timeseries(params, ("g", 0, 0), "block_analytic",
+                                schedule, times, shape=shape)
 
     def test_target_marginals_maximally_mixed(self):
         shape = HilbertShape(2, 2)
@@ -321,7 +345,8 @@ class TestSweep:
         direct = run_protocol(params, ("g", 0, 0), "ld_full", schedule,
                               shape=shape)
         assert points[0].report.fidelity == direct.fidelity
-        assert points[0].report.populations == direct.populations
+        assert np.array_equal(points[0].report.populations,
+                              direct.populations)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
@@ -350,5 +375,68 @@ def test_timeseries_starts_at_half_fidelity_for_ghz_target():
     schedule = ghz_schedule(params, shape=shape)
     series = protocol_timeseries(params, ("g", 0, 0), "block_analytic",
                                  schedule, [0.0, schedule.t_p], shape=shape)
-    assert series[0][1].fidelity == pytest.approx(0.5, abs=1e-12)
-    assert series[-1][1].fidelity == pytest.approx(1.0, abs=1e-10)
+    assert series.fidelity[0] == pytest.approx(0.5, abs=1e-12)
+    assert series.fidelity[-1] == pytest.approx(1.0, abs=1e-10)
+
+
+def per_row_scores(amplitudes, target, block_idx):
+    """Score each row the way the per-row scoring loop did: one np.vdot, a
+    left-to-right block sum, one np.linalg.norm and the floored populations
+    of that row alone."""
+    fid, norm, leak, pops = [], [], [], []
+    for row in amplitudes:
+        row_pops = np.abs(row) ** 2
+        fid.append(float(abs(np.vdot(target, row)) ** 2))
+        norm.append(float(np.linalg.norm(row)))
+        in_block = 0
+        for i in block_idx:
+            in_block = in_block + float(row_pops[i])
+        leak.append(max(1.0 - in_block, 0.0))
+        pops.append([float(p) if p > POPULATION_FLOOR else 0.0
+                     for p in row_pops])
+    return fid, norm, leak, pops
+
+
+SCORING_CASES = [(model, dim) for model in ("block_analytic", "ld_full",
+                                            "rwa_full")
+                 for dim in (2, 6, 16)] + [("lab_frame", 3)]
+
+
+@pytest.mark.parametrize("model, dim", SCORING_CASES)
+def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
+    shape = HilbertShape(dim, dim)
+    params = scaled_params(Omega=1.0) if model == "lab_frame" \
+        else scaled_params()
+    schedule = ghz_schedule(params, shape=shape)
+    # the lab model runs a short window of few RK4 steps, and the full
+    # models at 2x2 one short enough to stay inside the truncation guard
+    t_end = schedule.t_p
+    if model == "lab_frame":
+        t_end /= 50.0
+    elif dim == 2 and model != "block_analytic":
+        t_end /= 1000.0
+    times = np.linspace(0.0, t_end, 5 if model == "lab_frame" else 101)
+    initial = ("e", 0, 0)
+    series = protocol_timeseries(params, initial, model, schedule, times,
+                                 shape=shape)
+    amps = ghz_protocol._evolve_states(params, initial, model, schedule,
+                                       shape, times, None).amplitudes
+    fid, norm, leak, pops = per_row_scores(
+        amps, target_state(initial, shape).amplitudes,
+        [shape.index(*lbl) for lbl in block_basis_labels(1, 1)])
+    if model == "block_analytic":
+        leak = [0.0] * len(times)
+
+    assert series.times.tolist() == times.tolist()
+    assert series.fidelity.tolist() == fid
+    assert series.norm.tolist() == norm
+    assert series.block_leakage.tolist() == leak
+    assert series.populations.tolist() == pops
+    assert series.populations.shape == (len(times), shape.total_dim)
+    final = series.final
+    assert (final.fidelity, final.norm, final.block_leakage) == \
+        (fid[-1], norm[-1], leak[-1])
+    assert final.populations.tolist() == pops[-1]
+    assert final.populations.base is None   # a copy of one row, not a view
+    with pytest.raises(ValueError):
+        series.fidelity[0] = 0.0
