@@ -26,7 +26,7 @@ from . import checks as checks_mod
 from .errors import AccuracyError, ConfigurationError, TruncationError
 from .fock_core import HilbertShape, ION_LABELS
 from .ghz_protocol import (ghz_schedule, parse_label, protocol_timeseries,
-                           pulse_times, sweep)
+                           pulse_times, sweep, whole_number)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -226,21 +226,22 @@ def _run_config(args):
         "format": args.format, "output": args.output,
     })
     params, tune = build_params(config)
+    for key in ("p", "m", "n", "n_times"):
+        config[key] = whole_number(key, config[key])
     return (config, params, tune, parse_shape(config["shape"]),
             resolve_model(config["model"]), parse_label(config["initial"]))
 
 
 def cmd_ghz(args) -> int:
     config, params, tune, shape, model, initial = _run_config(args)
-    m, n, p = int(config["m"]), int(config["n"]), int(config["p"])
-
-    schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
+    schedule = ghz_schedule(params, m=config["m"], n=config["n"],
+                            p=config["p"], shape=shape, tune=tune)
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t,
                            a_t_product=schedule.block.a * explicit_t)
 
-    times = pulse_times(schedule.t_p, int(config["n_times"]))
+    times = pulse_times(schedule.t_p, config["n_times"])
     series = protocol_timeseries(params, initial, model, schedule, times,
                                  shape=shape, dt=config_time(config, "dt"))
 
@@ -279,11 +280,11 @@ def cmd_sweep(args) -> int:
     config, params, tune, shape, model, initial = _run_config(args)
     values = parse_values(args.values)
     if args.axis == "dt":
-        scale = US if config.get("units", "mhz") == "mhz" else 1.0
-        values = [v * scale for v in values]
+        # each step value passes the rule and unit scale of the config dt
+        values = [config_time({**config, "dt": v}, "dt") for v in values]
 
     points = sweep(params, args.axis, values, initial, model, shape=shape,
-                   m=int(config["m"]), n=int(config["n"]), p=int(config["p"]),
+                   m=config["m"], n=config["n"], p=config["p"],
                    dt=config_time(config, "dt"), tune=not args.no_tune)
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest

@@ -8,7 +8,9 @@ Three engines plus the frame transform that links them:
   Hamiltonian by eigendecomposition, exp(-iHt) applied exactly;
 * :func:`evolve_timedep` integrates the time-dependent lab-frame model with a
   fixed-step classical Runge-Kutta scheme (midpoint Hamiltonian evaluations);
-  norm drift is never repaired by renormalization, it is the accuracy signal;
+  given the period T of H(t) it integrates one period only and reaches later
+  times through U(k T + tau) = U(tau) U(T)^k. Norm drift is never repaired by
+  renormalization, it is the accuracy signal;
 * :func:`to_interaction_picture` applies the diagonal free-evolution phases
   exp(+i H0 t) that map a lab-frame trajectory into the interaction picture.
 
@@ -19,6 +21,7 @@ amplitude array in an :class:`EvolutionResult`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -179,11 +182,13 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
 
 def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
                  t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:
-    """March psi from t0 to t1 with uniform steps of at most dt.
+    """March psi, one state (D,) or a block of states (D, K), from t0 to t1
+    with uniform steps of at most dt.
 
     Classical 4th-order Runge-Kutta for i psi' = H(t) psi, with the midpoint
     Hamiltonian shared between the two interior stages. Returns the final
-    amplitudes and the largest norm drift seen during the segment.
+    amplitudes and the largest drift of any column's norm from 1 seen during
+    the segment.
     """
     span = t1 - t0
     if span <= 0:
@@ -202,7 +207,11 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
         k4 = -1j * (h_end @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         h_t = h_end
-        step_drift = abs(np.linalg.norm(psi) - 1.0)
+        # a lone state keeps the whole-vector norm (a column norm sums in
+        # another order)
+        norms = (np.linalg.norm(psi) if psi.ndim == 1
+                 else np.linalg.norm(psi, axis=0))
+        step_drift = float(np.max(np.abs(norms - 1.0)))
         drift = max(drift, step_drift)
         if step_drift > NORM_DRIFT_LIMIT:
             raise AccuracyError(
@@ -213,28 +222,42 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
 
 def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
                    t_end: float, dt: float, omega_max: float | None = None,
-                   store_times: Sequence[float] | None = None) -> EvolutionResult:
+                   store_times: Sequence[float] | None = None,
+                   period: float | None = None) -> EvolutionResult:
     """Integrate i psi' = H(t) psi with a fixed-step 4th-order scheme.
 
     Parameters
     ----------
     dt : float
-        Step-size cap. Each stored interval is subdivided uniformly so the
+        Step-size cap. Each integrated interval is subdivided uniformly so the
         actual step never exceeds dt and store times are hit exactly.
     omega_max : float, optional
         Largest frequency in the model; when given, enforces the resolution
         guard dt <= (1/50) (2 pi / omega_max).
     store_times : sequence, optional
-        Strictly increasing times at which to record the state (default:
-        just 0 and t_end). Must end at t_end.
+        Strictly increasing times >= 0 at which to record the state
+        (default: just 0 and t_end). Must end at t_end.
+    period : float, optional
+        A period T of H(t), H(t + T) = H(t). Then U(k T + tau) =
+        U(tau) U(T)^k (Floquet), so only one period is integrated: if a store
+        time lies at or beyond T, the identity is marched over [0, T] to
+        give U(T), and psi_k = U(T)^k psi0 is kept for each period k that
+        holds a store time. The block of those psi_k is then marched once
+        through the sorted offsets tau_i = t_i - k_i T, and row i is read
+        from column k_i. Without a period, or with every store time inside
+        the first one, the state alone is marched through the store times.
 
-    Norm drift above 1e-6 at any step raises :class:`AccuracyError`; no
-    renormalization is ever applied.
+    Norm drift of any marched column above 1e-6 at any step raises
+    :class:`AccuracyError`, and so does the unitarity bound
+    ||U(T)† U(T) - 1||_2 k_max of a periodic run; ``norm_drift`` reports the
+    largest of these. No renormalization is ever applied.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be a finite number > 0, got {dt!r}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    if period is not None and not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be a finite number > 0, got {period!r}")
     if omega_max is not None and omega_max > 0:
         dt_max = (2.0 * np.pi / omega_max) / 50.0
         if dt > dt_max * (1 + 1e-12):
@@ -244,19 +267,52 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
 
     if store_times is None:
         store_times = [0.0, t_end] if t_end > 0 else [0.0]
-    store_times = list(store_times)
+    store_times = np.asarray(store_times, dtype=float)
     if abs(store_times[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
         raise ValueError("store_times must end at t_end")
+    if store_times[0] < 0:
+        raise ValueError("store_times must be >= 0")
 
-    psi = initial.amplitudes.copy()
-    t_now = 0.0
-    amps = np.empty((len(store_times), len(psi)), dtype=complex)
+    # period k_i of each store time and offset tau_i into it (k_i = 0 and
+    # tau_i = t_i exactly without a period)
+    k = np.zeros(len(store_times), dtype=int)
+    offsets = store_times
+    if period is not None:
+        k = np.floor(store_times / period).astype(int)
+        offsets = np.maximum(store_times - k * period, 0.0)
+    k_max = int(k.max())
+    kept, column = np.unique(k, return_inverse=True)
+
+    dim = initial.shape.total_dim
     drift = 0.0
-    for i, t in enumerate(store_times):
-        psi, seg_drift = _rk4_segment(h_of_t, psi, t_now, t, dt)
+    if k_max == 0:
+        block = initial.amplitudes.copy()
+    else:
+        u_period, drift = _rk4_segment(h_of_t, np.eye(dim, dtype=complex),
+                                       0.0, period, dt)
+        unitarity = k_max * float(np.linalg.norm(
+            u_period.conj().T @ u_period - np.eye(dim), 2))
+        if unitarity > NORM_DRIFT_LIMIT:
+            raise AccuracyError(
+                f"unitarity bound k ||U(T)†U(T) - 1|| = {unitarity:.3e} "
+                f"over k = {k_max} periods exceeded {NORM_DRIFT_LIMIT:.1e}; "
+                f"reduce dt", drift=unitarity)
+        drift = max(drift, unitarity)
+        block = np.empty((dim, len(kept)), dtype=complex)
+        psi, power = initial.amplitudes, 0
+        for col, k_col in enumerate(kept):
+            for _ in range(k_col - power):
+                psi = u_period @ psi
+            block[:, col], power = psi, k_col
+
+    amps = np.empty((len(store_times), dim), dtype=complex)
+    t_now = 0.0
+    for i in np.argsort(offsets, kind="stable"):
+        block, seg_drift = _rk4_segment(h_of_t, block, t_now, offsets[i], dt)
         drift = max(drift, seg_drift)
-        t_now = t
-        amps[i] = psi
+        t_now = offsets[i]
+        # a lone state is read as the only column of a (dim, 1) view
+        amps[i] = block.reshape(dim, -1)[:, column[i]]
     return EvolutionResult(store_times, amps, initial.shape, norm_drift=drift)
 
 

@@ -178,7 +178,9 @@ def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
     """Step size for a lab-frame run: inside the resolution guard and small
     enough that the accumulated RK4 norm drift (about t lambda^6 dt^5 / 144,
     lambda the spectral radius of H) stays an order of magnitude below the
-    1e-6 drift limit."""
+    1e-6 drift limit. The unitarity bound of a period run, which takes the
+    worst-damped direction and so reads about twice that drift, stays below
+    the limit too."""
     guard = (2.0 * math.pi / omega_max) / 50.0
     dt = guard / 1.28
     if t_end > 0:
@@ -217,9 +219,14 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         omega_max = run_params.max_frequency()
         if dt is None:
             dt = _default_lab_dt(source, omega_max, float(times[-1]))
+        # H(t) carries the laser phase exp(-i omega_L t) and nothing else
+        # time dependent, so it repeats after one laser period
+        period = (2.0 * math.pi / run_params.omega_L
+                  if run_params.omega_L > 0 else None)
         result = to_interaction_picture(
             evolve_timedep(source, initial, float(times[-1]), dt,
-                           omega_max=omega_max, store_times=times),
+                           omega_max=omega_max, store_times=times,
+                           period=period),
             run_params)
     else:
         raise ValueError(
@@ -290,6 +297,20 @@ def run_protocol(params: SystemParams, initial_label: Label, model: str,
 
 
 SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
+INTEGER_AXES = ("p", "vib_dim", "cav_dim")
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int when it is a whole number (1, 2.0, "3"); otherwise
+    a ConfigurationError that names ``name``, never a silent truncation."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ConfigurationError(
+            f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -308,11 +329,11 @@ def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
     if axis in ("eta_c", "eta_L", "phi"):
         params = replace(params, **{axis: float(value)})
     elif axis == "p":
-        p = int(value)
+        p = value
     elif axis == "vib_dim":
-        shape = HilbertShape(vib_dim=int(value), cav_dim=shape.cav_dim)
+        shape = HilbertShape(vib_dim=value, cav_dim=shape.cav_dim)
     elif axis == "cav_dim":
-        shape = HilbertShape(vib_dim=shape.vib_dim, cav_dim=int(value))
+        shape = HilbertShape(vib_dim=shape.vib_dim, cav_dim=value)
     elif axis == "dt":
         dt = float(value)
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
@@ -337,6 +358,8 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    if axis in INTEGER_AXES:
+        values = [whole_number(f"{axis} value", v) for v in values]
     if shape is None:
         shape = HilbertShape(vib_dim=max(m + 1, 2), cav_dim=max(n + 1, 2))
     return [_sweep_one(params, axis, value, initial_label, model, shape,

@@ -191,8 +191,9 @@ def lab_hamiltonian_source(params: SystemParams,
     """Time-dependent lab-frame Hamiltonian H(t) = H0 + H_int(t) as a callable.
 
     The static part (free evolution plus the cavity standing-wave term) and the
-    laser coupling matrix are precomputed; per call only the scalar laser phase
-    exp(-i omega_L t) is applied.
+    laser's raising and lowering terms are precomputed; per call only the
+    scalar laser phase exp(-i omega_L t) is applied. H(t) is periodic with
+    period 2 pi / omega_L.
     """
     M, N = shape.vib_dim, shape.cav_dim
     a_low, a_up = ladder_ops(M)
@@ -210,11 +211,12 @@ def lab_hamiltonian_source(params: SystemParams,
     exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c, params.phi, M)
     h_cavity = params.g * kron3(sigma_p + sigma_m, sin_op, b_up + b_low)
     laser_up = params.Omega * kron3(sigma_p, exp_op, eye_c)
+    laser_down = laser_up.conj().T
     h_static = h_free + h_cavity
 
     def h_of_t(t: float) -> np.ndarray:
         phase = np.exp(-1j * params.omega_L * t)
-        return h_static + phase * laser_up + np.conj(phase) * laser_up.conj().T
+        return h_static + phase * laser_up + np.conj(phase) * laser_down
 
     return h_of_t
 

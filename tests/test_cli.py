@@ -67,6 +67,21 @@ class TestGhzCommand:
         assert fid == pytest.approx(1.0, abs=1e-10)
         assert out_file.exists()
 
+    def test_lab_model_at_default_config_agrees_with_rwa(self, tmp_path,
+                                                         capsys):
+        # 1,936 whole laser periods per pulse: only the period propagator
+        # makes this run affordable (about 2 s); measured
+        # |F_lab - F_rwa| = 2.8e-5
+        cfg = tmp_path / "few.json"
+        cfg.write_text(json.dumps({"n_times": 3}))
+        fids = {}
+        for model in ("lab", "rwa"):
+            assert run_cli("ghz", "--model", model, "--config", str(cfg),
+                           "--output", str(tmp_path / f"{model}.csv")) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            fids[model] = float(summary_field(line, "fidelity"))
+        assert abs(fids["lab"] - fids["rwa"]) < 1e-3
+
     def test_series_file_contents(self, tmp_path):
         out_file = tmp_path / "series.csv"
         run_cli("ghz", "--output", str(out_file))
@@ -233,6 +248,43 @@ class TestExitCodes:
             assert f"{key} must be a finite number > 0" in \
                 capsys.readouterr().err
             assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", [("ghz",), ("sweep", "eta_c", "0.05")])
+    @pytest.mark.parametrize("key, raw", [("p", "1.5"), ("m", "1.7"),
+                                          ("n", "1.2"), ("n_times", "10.5"),
+                                          ("p", "null")])
+    def test_non_integer_config_key_exits_two(self, tmp_path, capsys, command,
+                                              key, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"{key}": {raw}}}')
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*command, "--model", "block", "--shape", "2x2",
+                     "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert f"{key} must be a whole number" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("axis, values", [("p", "1,1.5,2"),
+                                              ("vib_dim", "3,3.5"),
+                                              ("cav_dim", "3.2")])
+    def test_non_integer_sweep_value_exits_two(self, tmp_path, capsys, axis,
+                                               values):
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", axis, values, "--model", "block", "--shape",
+                     "2x2", "--output", str(out_file))
+        assert rc == 2
+        assert f"{axis} value must be a whole number" in \
+            capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "0"])
+    def test_bad_sweep_dt_exits_two(self, tmp_path, capsys, raw):
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "dt", raw, "--model", "lab", "--shape", "3x3",
+                     "--output", str(out_file))
+        assert rc == 2
+        assert "dt must be a finite number > 0" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",

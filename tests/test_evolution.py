@@ -293,6 +293,95 @@ class TestEvolveTimedep:
         with pytest.raises(ConfigurationError):
             evolve_timedep(lambda t: np.zeros((2, 2)), psi0, 1.0, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        shape = HilbertShape(1, 1)
+        psi0 = basis_state(shape, "g", 0, 0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            evolve_timedep(lambda t: np.zeros((2, 2)), psi0, 1.0, dt=dt)
+
+
+def scaled_lab_period():
+    """Lab source on the scaled hierarchy (omega_L = 4000 Omega) at 3x3, its
+    laser period T and the step T / 400."""
+    params = scaled_params(Omega=1.0)
+    shape = HilbertShape(3, 3)
+    period = 2 * math.pi / params.omega_L
+    return (shape, lab_hamiltonian_source(params, shape), period,
+            period / 400)
+
+
+class TestPeriodPropagator:
+    # the period path and the whole-pulse path are two RK4 discretisations
+    # of one flow, each about 1e-12 from it at dt = T / 400 (measured gap
+    # 3.6e-12 over 5.3 periods)
+    PIN_ATOL = 1e-10
+
+    def test_matches_whole_pulse_over_several_periods(self):
+        shape, source, period, dt = scaled_lab_period()
+        psi0 = basis_state(shape, "e", 0, 0)
+        times = np.linspace(0.0, 5.3 * period, 12)
+        whole = evolve_timedep(source, psi0, times[-1], dt, store_times=times)
+        folded = evolve_timedep(source, psi0, times[-1], dt, store_times=times,
+                                period=period)
+        assert np.array_equal(folded.times, times)
+        assert np.max(np.abs(folded.amplitudes - whole.amplitudes)) \
+            < self.PIN_ATOL
+        # norm_drift includes the unitarity bound k ||U(T)†U(T) - 1||
+        assert whole.norm_drift < folded.norm_drift < 1e-6
+
+    def test_store_times_exactly_at_whole_periods(self):
+        # floor(13 T / T) rounds to 12 here, so that row is read at tau ~ T
+        shape, source, period, dt = scaled_lab_period()
+        psi0 = basis_state(shape, "g", 0, 0)
+        times = np.array([0.0, period, 2 * period, 13 * period])
+        assert math.floor(times[-1] / period) == 12
+        whole = evolve_timedep(source, psi0, times[-1], dt, store_times=times)
+        folded = evolve_timedep(source, psi0, times[-1], dt, store_times=times,
+                                period=period)
+        assert np.array_equal(folded.amplitudes[0], psi0.amplitudes)
+        assert np.max(np.abs(folded.amplitudes - whole.amplitudes)) \
+            < self.PIN_ATOL
+
+    def test_runs_inside_the_first_period_are_bit_identical(self):
+        shape, source, period, dt = scaled_lab_period()
+        psi0 = basis_state(shape, "g", 0, 0)
+        times = np.linspace(0.0, 0.9 * period, 7)
+        whole = evolve_timedep(source, psi0, times[-1], dt, store_times=times)
+        folded = evolve_timedep(source, psi0, times[-1], dt, store_times=times,
+                                period=period)
+        assert np.array_equal(folded.amplitudes, whole.amplitudes)
+        assert folded.norm_drift == whole.norm_drift
+
+    def test_unitarity_bound_raises_at_coarse_dt(self):
+        # at T / 200 each step's norm drift stays under the limit, but the
+        # worst-case bound over 5 periods does not
+        shape, source, period, _ = scaled_lab_period()
+        psi0 = basis_state(shape, "g", 0, 0)
+        times = [0.0, 5.3 * period]
+        whole = evolve_timedep(source, psi0, times[-1], period / 200,
+                               store_times=times)
+        assert whole.norm_drift < 1e-6
+        with pytest.raises(AccuracyError, match="unitarity bound") as err:
+            evolve_timedep(source, psi0, times[-1], period / 200,
+                           store_times=times, period=period)
+        assert err.value.drift > 1e-6
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+    def test_rejects_bad_period(self, period):
+        shape, source, _, dt = scaled_lab_period()
+        with pytest.raises(ValueError, match="period"):
+            evolve_timedep(source, basis_state(shape, "g", 0, 0), 1e-3, dt,
+                           period=period)
+
+    def test_rejects_negative_store_times(self):
+        # a negative time would need U(T)^-1
+        shape, source, period, dt = scaled_lab_period()
+        with pytest.raises(ValueError, match=">= 0"):
+            evolve_timedep(source, basis_state(shape, "g", 0, 0), 2 * period,
+                           dt, store_times=[-0.5 * period, 2 * period],
+                           period=period)
+
 
 def held(state, times):
     """Trajectory that keeps ``state`` at every one of ``times``."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ class TestRunProtocol:
                                   times, shape=shape)
         assert lab.fidelity[-1] == pytest.approx(rwa.fidelity[-1], abs=5e-3)
         assert lab.norm[-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("omega_L", [4000.0, 0.0])
+    def test_lab_run_passes_the_laser_period(self, monkeypatch, omega_L):
+        # omega_L = 0 leaves H(t) constant: there is no period to pass
+        params = replace(scaled_params(Omega=1.0), omega_L=omega_L)
+        shape = HilbertShape(3, 3)
+        schedule = ghz_schedule(params, shape=shape)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["period"])
+            return evolve_timedep(*args, **kwargs)
+
+        evolve_timedep = ghz_protocol.evolve_timedep
+        monkeypatch.setattr(ghz_protocol, "evolve_timedep", spy)
+        protocol_timeseries(params, ("g", 0, 0), "lab_frame", schedule,
+                            [0.0, 1e-3], shape=shape)
+        assert seen == [2 * math.pi / omega_L if omega_L else None]
 
     @pytest.mark.parametrize("model", ["block_analytic", "ld_full"])
     @pytest.mark.parametrize("n_times", [0, 1])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import o_k_oracle, scaled_params
 from ghz_sim.errors import ConfigurationError
 from ghz_sim.fock_core import HilbertShape, kron3, ladder_ops, pauli_ops
-from ghz_sim.hamiltonian import (SystemParams, build_block_hamiltonian,
+from ghz_sim.hamiltonian import (SystemParams, _quadrature_functions,
+                                 build_block_hamiltonian,
                                  build_ld_hamiltonian, build_O_k,
                                  build_rwa_hamiltonian, effective_coupling,
                                  lab_hamiltonian_source, matrix_element_F_c,
@@ -163,6 +164,32 @@ class TestLabHamiltonian:
         shape = HilbertShape(4, 3)
         h = lab_hamiltonian_source(params, shape)(t)
         assert np.max(np.abs(h - lab_oracle(params, shape, t))) < 1e-11
+
+    def test_equals_per_call_lowering_term_exactly(self):
+        # the lowering term is built once; H(t) keeps the values of the
+        # expression that took laser_up.conj().T on every call
+        params = generic_lab_params()
+        shape = HilbertShape(4, 3)
+        M, N = shape.vib_dim, shape.cav_dim
+        a_low, a_up = ladder_ops(M)
+        b_low, b_up = ladder_ops(N)
+        sigma_z, sigma_p, sigma_m = pauli_ops()
+        eye_i, eye_v, eye_c = (np.eye(d, dtype=complex) for d in (2, M, N))
+        h_free = (
+            params.nu * kron3(eye_i, a_up @ a_low + 0.5 * eye_v, eye_c)
+            + params.omega_c * kron3(eye_i, eye_v, b_up @ b_low)
+            + 0.5 * params.omega_0 * kron3(sigma_z, eye_v, eye_c))
+        exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c,
+                                               params.phi, M)
+        h_static = h_free + params.g * kron3(sigma_p + sigma_m, sin_op,
+                                             b_up + b_low)
+        laser_up = params.Omega * kron3(sigma_p, exp_op, eye_c)
+        source = lab_hamiltonian_source(params, shape)
+        for t in (0.0, 0.37, 2.1, 1e3):
+            phase = np.exp(-1j * params.omega_L * t)
+            expected = (h_static + phase * laser_up
+                        + np.conj(phase) * laser_up.conj().T)
+            assert np.array_equal(source(t), expected)
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.3])
     def test_hermitian_at_every_time(self, t):
