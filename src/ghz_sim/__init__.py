@@ -7,8 +7,8 @@ from .errors import (AccuracyError, ConfigurationError, GhzSimError,
                      ModelError, TruncationError)
 from .evolution import (EvolutionResult, block_propagator, evolve_static,
                         evolve_timedep, to_interaction_picture)
-from .fock_core import (HilbertShape, QuantumState, basis_state, embed,
-                        kron3, ladder_ops, partial_trace, pauli_ops)
+from .fock_core import (HilbertShape, QuantumState, basis_state, kron3,
+                        ladder_ops, partial_trace, pauli_ops)
 from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
                            SweepPoint, fidelity, ghz_schedule,
                            protocol_timeseries, run_protocol, sweep,
@@ -17,6 +17,6 @@ from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian, effective_coupling,
                           lab_hamiltonian_source, matrix_element_F_c,
-                          matrix_element_F_L)
+                          matrix_element_F_L, rotating_frame_source)
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ DEFAULT_CONFIG = {
     "m": 1,
     "n": 1,
     "t": None,            # optional explicit pulse time (us, or s for si units)
-    "dt": None,           # lab-frame integrator step (us / s)
+    "dt": None,           # lab-frame RK4 step cap in the laser frame (us / s)
     "n_times": 101,
     "format": "csv",
     "output": "ghz_series.csv",
@@ -278,6 +278,10 @@ def parse_values(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     config, params, tune, shape, model, initial = _run_config(args)
+    if config["t"] is not None:
+        raise ConfigurationError(
+            f"sweep does not take the config key t (got {config['t']!r}): "
+            f"every sweep point runs its own scheduled pulse time")
     values = parse_values(args.values)
     if args.axis == "dt":
         # each step value passes the rule and unit scale of the config dt
@@ -285,7 +289,8 @@ def cmd_sweep(args) -> int:
 
     points = sweep(params, args.axis, values, initial, model, shape=shape,
                    m=config["m"], n=config["n"], p=config["p"],
-                   dt=config_time(config, "dt"), tune=not args.no_tune)
+                   dt=config_time(config, "dt"), tune=not args.no_tune,
+                   n_times=config["n_times"])
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
     outer = HilbertShape(vib_dim=max(pt.shape.vib_dim for pt in points),

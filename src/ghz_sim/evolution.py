@@ -6,13 +6,14 @@ Three engines plus the frame transform that links them:
   sideband block (see the honesty note in its docstring);
 * :func:`evolve_static` evolves under any time-independent Hermitian
   Hamiltonian by eigendecomposition, exp(-iHt) applied exactly;
-* :func:`evolve_timedep` integrates the time-dependent lab-frame model with a
-  fixed-step classical Runge-Kutta scheme (midpoint Hamiltonian evaluations);
-  given the period T of H(t) it integrates one period only and reaches later
-  times through U(k T + tau) = U(tau) U(T)^k. Norm drift is never repaired by
+* :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
+  lab-frame model, in the laser frame) with a fixed-step classical
+  Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
+  of H(t) it integrates one period only and reaches later times through
+  U(k T + tau) = U(tau) U(T)^k. Norm drift is never repaired by
   renormalization, it is the accuracy signal;
-* :func:`to_interaction_picture` applies the diagonal free-evolution phases
-  exp(+i H0 t) that map a lab-frame trajectory into the interaction picture.
+* :func:`to_interaction_picture` applies the diagonal phases that map a
+  laser-frame trajectory into the interaction picture.
 
 Every full-space engine returns its trajectory as one (times x dim) complex
 amplitude array in an :class:`EvolutionResult`.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigurationError, ModelError
 from .fock_core import HilbertShape, QuantumState
-from .hamiltonian import BlockParams, SystemParams
+from .hamiltonian import BlockParams, SystemParams, rotating_frame_energies
 
 HERMITICITY_ATOL = 1e-9
 NORM_DRIFT_LIMIT = 1e-6
@@ -232,7 +233,8 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         Step-size cap. Each integrated interval is subdivided uniformly so the
         actual step never exceeds dt and store times are hit exactly.
     omega_max : float, optional
-        Largest frequency in the model; when given, enforces the resolution
+        Largest frequency of the explicit time dependence of H(t) (2 omega_L
+        for the laser-frame model); when given, enforces the resolution
         guard dt <= (1/50) (2 pi / omega_max).
     store_times : sequence, optional
         Strictly increasing times >= 0 at which to record the state
@@ -318,17 +320,15 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
 
 def to_interaction_picture(result: EvolutionResult,
                            params: SystemParams) -> EvolutionResult:
-    """Apply U0†(t) = exp(+i H0 t) to every stored state of a lab-frame run.
+    """Map every stored state of a laser-frame run into the interaction picture.
 
-    U0† is diagonal in the |s, m, n> basis: each basis state picks up
-    exp(+i [nu (m + 1/2) + omega_c n + (omega_0 / 2) (+1 for e, -1 for g)] t).
-    Populations are unchanged.
+    The interaction picture is exp(+i H0 t) psi_lab and the laser frame has
+    psi_lab = exp(-i omega_L t (sigma_z / 2 + b†b)) psi; both are diagonal in
+    the |s, m, n> basis, so each basis state picks up the one composed phase
+    exp(+i [nu (m + 1/2) + (omega_c - omega_L) n + (omega_0 - omega_L) s / 2] t)
+    (s = +1 for e, -1 for g), see :func:`rotating_frame_energies`. The optical
+    phases exp(+-i omega_0 t) are never formed. Populations are unchanged.
     """
-    sh = result.shape
-    m = np.arange(sh.vib_dim)[None, :, None]
-    n = np.arange(sh.cav_dim)[None, None, :]
-    sign = np.array([-1.0, 1.0])[:, None, None]  # ION_LABELS order (g, e)
-    energies = (params.nu * (m + 0.5) + params.omega_c * n
-                + 0.5 * params.omega_0 * sign).ravel()
+    energies = rotating_frame_energies(params, result.shape)
     phases = np.exp(1j * energies * result.times[:, None])
     return replace(result, amplitudes=phases * result.amplitudes)

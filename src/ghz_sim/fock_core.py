@@ -59,15 +59,6 @@ class HilbertShape:
     def total_dim(self) -> int:
         return self.ion_dim * self.vib_dim * self.cav_dim
 
-    def dim_of(self, slot: str) -> int:
-        if slot == ION:
-            return self.ion_dim
-        if slot == VIB:
-            return self.vib_dim
-        if slot == CAV:
-            return self.cav_dim
-        raise ValueError(f"unknown slot {slot!r}, expected one of {SLOTS}")
-
     def index(self, s: str, m: int, n: int) -> int:
         """Flat index of the basis state |s, m, n>."""
         if s not in ION_LABELS:
@@ -111,17 +102,6 @@ class QuantumState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def amplitude(self, s: str, m: int, n: int) -> complex:
-        return complex(self.amplitudes[self.shape.index(s, m, n)])
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def overlap(self, other: "QuantumState") -> complex:
-        if other.shape != self.shape:
-            raise ValueError("states live on different Hilbert shapes")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated lowering and raising operators on a single Fock space.
@@ -147,23 +127,6 @@ def pauli_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sigma_plus = np.zeros((2, 2), dtype=complex)
     sigma_plus[1, 0] = 1.0
     return sigma_z, sigma_plus, sigma_plus.conj().T
-
-
-def embed(op: np.ndarray, slot: str, shape: HilbertShape) -> np.ndarray:
-    """Lift a single-subsystem operator to the full space: 1 x ... x op x ... x 1."""
-    op = np.asarray(op, dtype=complex)
-    d = shape.dim_of(slot)
-    if op.shape != (d, d):
-        raise ValueError(
-            f"operator shape {op.shape} does not match slot {slot!r} dimension {d}"
-        )
-    factors = {
-        ION: np.eye(shape.ion_dim, dtype=complex),
-        VIB: np.eye(shape.vib_dim, dtype=complex),
-        CAV: np.eye(shape.cav_dim, dtype=complex),
-    }
-    factors[slot] = op
-    return np.kron(factors[ION], np.kron(factors[VIB], factors[CAV]))
 
 
 def kron3(ion_op: np.ndarray, vib_op: np.ndarray, cav_op: np.ndarray) -> np.ndarray:

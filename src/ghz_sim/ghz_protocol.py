@@ -8,8 +8,10 @@ three-party state of ion, phonon pair and photon pair.
 
 Four model levels can execute the same schedule: the closed-form block
 propagator, the full Lamb-Dicke Hamiltonian, the dressed RWA Hamiltonian and
-the time-dependent lab-frame model (scored after transforming back into the
-interaction picture). A run is scored at all its sample times at once, as
+the time-dependent lab-frame model. The lab-frame model is integrated in the
+exact laser frame, one period pi / omega_L of its counter-rotating term at a
+time, and scored after one composed diagonal phase takes it into the
+interaction picture. A run is scored at all its sample times at once, as
 arrays of the fidelity against the scheduled target, the norm, the population
 that escaped the 4-state block and the basis populations.
 """
@@ -28,7 +30,7 @@ from .evolution import (EvolutionResult, block_propagator, evolve_static,
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
-                          lab_hamiltonian_source)
+                          rotating_frame_source)
 
 MODEL_TAGS = ("block_analytic", "ld_full", "rwa_full", "lab_frame")
 
@@ -175,14 +177,15 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
 
 
 def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
-    """Step size for a lab-frame run: inside the resolution guard and small
-    enough that the accumulated RK4 norm drift (about t lambda^6 dt^5 / 144,
-    lambda the spectral radius of H) stays an order of magnitude below the
-    1e-6 drift limit. The unitarity bound of a period run, which takes the
-    worst-damped direction and so reads about twice that drift, stays below
-    the limit too."""
-    guard = (2.0 * math.pi / omega_max) / 50.0
-    dt = guard / 1.28
+    """Step size for a lab-frame run in the laser frame: inside the
+    resolution guard of its one driving frequency omega_max (none when that
+    is 0: the Hamiltonian is static) and small enough that the accumulated
+    RK4 norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius
+    of H) stays an order of magnitude below the 1e-6 drift limit. The
+    unitarity bound of a period run, which takes the worst-damped direction
+    and so reads about twice that drift, stays below the limit too."""
+    dt = ((2.0 * math.pi / omega_max) / 50.0 / 1.28 if omega_max > 0
+          else t_end)
     if t_end > 0:
         lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
         if lam > 0:
@@ -215,13 +218,13 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         result = evolve_static(build_rwa_hamiltonian(run_params, shape),
                                initial, times)
     elif model == "lab_frame":
-        source = lab_hamiltonian_source(run_params, shape)
-        omega_max = run_params.max_frequency()
+        # the laser frame leaves only C exp(-2i omega_L t) and its conjugate
+        # time dependent, so H_rot repeats after half a laser period
+        source = rotating_frame_source(run_params, shape)
+        omega_max = 2.0 * run_params.omega_L
         if dt is None:
             dt = _default_lab_dt(source, omega_max, float(times[-1]))
-        # H(t) carries the laser phase exp(-i omega_L t) and nothing else
-        # time dependent, so it repeats after one laser period
-        period = (2.0 * math.pi / run_params.omega_L
+        period = (math.pi / run_params.omega_L
                   if run_params.omega_L > 0 else None)
         result = to_interaction_picture(
             evolve_timedep(source, initial, float(times[-1]), dt,
@@ -325,7 +328,7 @@ class SweepPoint:
 
 def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
                model: str, shape: HilbertShape, m: int, n: int, p: int,
-               dt: float | None, tune: bool) -> SweepPoint:
+               dt: float | None, tune: bool, n_times: int) -> SweepPoint:
     if axis in ("eta_c", "eta_L", "phi"):
         params = replace(params, **{axis: float(value)})
     elif axis == "p":
@@ -338,16 +341,17 @@ def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
         dt = float(value)
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
     report = run_protocol(params, initial_label, model, schedule, shape=shape,
-                          dt=dt)
+                          dt=dt, n_times=n_times)
     return SweepPoint(axis=axis, value=float(value), t_p=schedule.t_p,
                       tuned_g=schedule.tuned_g, shape=shape, report=report)
 
 
 def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Label,
           model: str, shape: HilbertShape | None = None, m: int = 1, n: int = 1,
-          p: int = 1, dt: float | None = None,
-          tune: bool = True) -> list[SweepPoint]:
-    """One protocol run per axis value, in the order of ``values``.
+          p: int = 1, dt: float | None = None, tune: bool = True,
+          n_times: int = 101) -> list[SweepPoint]:
+    """One protocol run per axis value, in the order of ``values``, each
+    sampled on ``n_times`` points of its own pulse (see :func:`run_protocol`).
 
     Each point re-derives its schedule (retuning the coupling by default, so
     e.g. a phi sweep with tuning compensates the effective coupling g cos phi).
@@ -363,5 +367,5 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
     if shape is None:
         shape = HilbertShape(vib_dim=max(m + 1, 2), cav_dim=max(n + 1, 2))
     return [_sweep_one(params, axis, value, initial_label, model, shape,
-                       m, n, p, dt, tune)
+                       m, n, p, dt, tune, n_times)
             for value in values]

@@ -5,7 +5,11 @@ frequency an angular frequency in rad/s:
 
 * lab frame: H0 + H_int with the full operator-valued laser phase
   exp(i eta_L (a† + a)) and standing-wave coupling sin(eta_c (a† + a) + phi),
-  explicitly time dependent through the laser phase exp(-i omega_L t);
+  explicitly time dependent through the laser phase exp(-i omega_L t); the
+  same Hamiltonian in the laser frame, exactly, where only the
+  counter-rotating cavity term stays time dependent, at 2 omega_L, and the
+  static part carries only detunings from the laser (built from the same
+  operator pieces);
 * interaction picture after the rotating-wave approximation (carrier resonant,
   red sideband resonant): time independent, carrier dressed by the diagonal
   operator O_0 and sideband by eta_c a† O_1;
@@ -98,9 +102,6 @@ class SystemParams:
                 f"omega_0 - omega_c = {self.omega_0 - self.omega_c!r}, nu={self.nu!r}"
             )
 
-    def max_frequency(self) -> float:
-        return max(self.Omega, self.g, self.nu, self.omega_0, self.omega_c, self.omega_L)
-
 
 def effective_coupling(g: float, phi: float) -> float:
     """Cavity coupling seen by an ion displaced phi from the standing-wave node."""
@@ -186,37 +187,94 @@ def _quadrature_functions(eta_L: float, eta_c: float, phi: float,
     return exp_op, sin_op
 
 
+def _free_energies(shape: HilbertShape, nu: float, omega_c: float,
+                   omega_0: float) -> np.ndarray:
+    """Diagonal of nu (a†a + 1/2) + omega_c b†b + omega_0 sigma_z / 2 in flat
+    index order: nu (m + 1/2) + omega_c n + omega_0 s / 2, s = -1 for g."""
+    m = np.arange(shape.vib_dim)[None, :, None]
+    n = np.arange(shape.cav_dim)[None, None, :]
+    sign = np.array([-1.0, 1.0])[:, None, None]  # ION_LABELS order (g, e)
+    return (nu * (m + 0.5) + omega_c * n + 0.5 * omega_0 * sign).ravel()
+
+
+def rotating_frame_energies(params: SystemParams,
+                            shape: HilbertShape) -> np.ndarray:
+    """Diagonal of the free part of the rotating-frame Hamiltonian, the
+    detunings from the laser: nu (m + 1/2) + (omega_c - omega_L) n
+    + (omega_0 - omega_L) s / 2. The differences are taken before any product
+    with n or t, so no digits are lost at optical frequencies."""
+    return _free_energies(shape, params.nu, params.omega_c - params.omega_L,
+                          params.omega_0 - params.omega_L)
+
+
+def _lab_terms(params: SystemParams, shape: HilbertShape
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interaction terms of the lab-frame Hamiltonian, split by how they turn
+    under the laser frame, with E = exp(i eta_L x), S = sin(eta_c x + phi):
+    the laser's raising term Omega sigma_+ E, the co-rotating cavity terms
+    g (sigma_+ S b + sigma_- S b†), and the counter-rotating cavity terms
+    C = g sigma_- S b and g sigma_+ S b†."""
+    N = shape.cav_dim
+    b_low, b_up = ladder_ops(N)
+    _, sigma_p, sigma_m = pauli_ops()
+    exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c,
+                                           params.phi, shape.vib_dim)
+    laser_up = params.Omega * kron3(sigma_p, exp_op, np.eye(N, dtype=complex))
+    co_rotating = params.g * (kron3(sigma_p, sin_op, b_low)
+                              + kron3(sigma_m, sin_op, b_up))
+    counter_down = params.g * kron3(sigma_m, sin_op, b_low)
+    counter_up = params.g * kron3(sigma_p, sin_op, b_up)
+    return laser_up, co_rotating, counter_down, counter_up
+
+
 def lab_hamiltonian_source(params: SystemParams,
                            shape: HilbertShape) -> Callable[[float], np.ndarray]:
     """Time-dependent lab-frame Hamiltonian H(t) = H0 + H_int(t) as a callable.
 
-    The static part (free evolution plus the cavity standing-wave term) and the
-    laser's raising and lowering terms are precomputed; per call only the
-    scalar laser phase exp(-i omega_L t) is applied. H(t) is periodic with
-    period 2 pi / omega_L.
+    The reference definition of the model: the protocol integrates the same
+    physics in the laser frame (:func:`rotating_frame_source`). The static
+    part (free evolution plus the cavity standing-wave term) and the laser's
+    raising and lowering terms are precomputed; per call only the scalar
+    laser phase exp(-i omega_L t) is applied. H(t) is periodic with period
+    2 pi / omega_L.
     """
-    M, N = shape.vib_dim, shape.cav_dim
-    a_low, a_up = ladder_ops(M)
-    b_low, b_up = ladder_ops(N)
-    sigma_z, sigma_p, sigma_m = pauli_ops()
-    eye_i = np.eye(2, dtype=complex)
-    eye_v = np.eye(M, dtype=complex)
-    eye_c = np.eye(N, dtype=complex)
-
-    h_free = (
-        params.nu * kron3(eye_i, a_up @ a_low + 0.5 * eye_v, eye_c)
-        + params.omega_c * kron3(eye_i, eye_v, b_up @ b_low)
-        + 0.5 * params.omega_0 * kron3(sigma_z, eye_v, eye_c)
-    )
-    exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c, params.phi, M)
-    h_cavity = params.g * kron3(sigma_p + sigma_m, sin_op, b_up + b_low)
-    laser_up = params.Omega * kron3(sigma_p, exp_op, eye_c)
+    laser_up, co_rotating, counter_down, counter_up = _lab_terms(params, shape)
+    h_free = np.diag(_free_energies(shape, params.nu, params.omega_c,
+                                    params.omega_0))
+    h_static = h_free + co_rotating + counter_down + counter_up
     laser_down = laser_up.conj().T
-    h_static = h_free + h_cavity
 
     def h_of_t(t: float) -> np.ndarray:
         phase = np.exp(-1j * params.omega_L * t)
         return h_static + phase * laser_up + np.conj(phase) * laser_down
+
+    return h_of_t
+
+
+def rotating_frame_source(params: SystemParams,
+                          shape: HilbertShape) -> Callable[[float], np.ndarray]:
+    """The lab-frame Hamiltonian in the laser frame, as a callable of t.
+
+    With R(t) = exp(-i omega_L t (sigma_z / 2 + b†b)) and psi_lab = R psi,
+    psi obeys H_rot(t) = R† H R - omega_L (sigma_z / 2 + b†b), exactly:
+
+        H_rot(t) = h0 + exp(-2i omega_L t) C + exp(+2i omega_L t) C†,
+        h0 = nu (a†a + 1/2) + (omega_c - omega_L) b†b
+             + (omega_0 - omega_L) sigma_z / 2 + Omega (sigma_+ E + sigma_- E†)
+             + g (sigma_+ S b + sigma_- S b†),
+        C = g sigma_- S b.
+
+    The laser and co-rotating cavity terms become static, and h0 carries only
+    detunings; the one time dependence left is C at twice the laser frequency,
+    so H_rot is periodic with period pi / omega_L. No approximation is made.
+    """
+    laser_up, co_rotating, counter_down, counter_up = _lab_terms(params, shape)
+    h0 = (np.diag(rotating_frame_energies(params, shape))
+          + laser_up + laser_up.conj().T + co_rotating)
+
+    def h_of_t(t: float) -> np.ndarray:
+        phase = np.exp(-2j * params.omega_L * t)
+        return h0 + phase * counter_down + np.conj(phase) * counter_up
 
     return h_of_t
 
@@ -267,9 +325,6 @@ def build_ld_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarra
         + g_eff * params.eta_c * (kron3(sigma_p, a_low, b_low)
                                   + kron3(sigma_m, a_up, b_up))
     )
-
-
-BLOCK_BASIS = ("g,m,n", "e,m,n", "g,m-1,n-1", "e,m-1,n-1")
 
 
 def block_basis_labels(m: int, n: int) -> tuple[tuple[str, int, int], ...]:

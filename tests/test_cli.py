@@ -7,6 +7,7 @@ import pytest
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import fmt, main, read_table
 from ghz_sim.evolution import block_propagator
+from ghz_sim import ghz_protocol
 from ghz_sim.fock_core import ION_LABELS, HilbertShape
 from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ghz_schedule,
                                   run_protocol)
@@ -69,9 +70,9 @@ class TestGhzCommand:
 
     def test_lab_model_at_default_config_agrees_with_rwa(self, tmp_path,
                                                          capsys):
-        # 1,936 whole laser periods per pulse: only the period propagator
-        # makes this run affordable (about 2 s); measured
-        # |F_lab - F_rwa| = 2.8e-5
+        # 3,872 periods of the laser frame per pulse: the laser frame and
+        # the period propagator make this run cheap (about 0.1 s alone);
+        # measured |F_lab - F_rwa| = 2.8e-5
         cfg = tmp_path / "few.json"
         cfg.write_text(json.dumps({"n_times": 3}))
         fids = {}
@@ -286,6 +287,44 @@ class TestExitCodes:
         assert "dt must be a finite number > 0" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_sweep_config_t_exits_two(self, tmp_path, capsys):
+        # every sweep point runs its own scheduled pulse; an explicit t
+        # would be dropped without a word
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"t": 0.1}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "eta_c", "0.05", "--model", "block", "--shape",
+                     "2x2", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert "config key t" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_sweep_too_few_samples_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"n_times": 1}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "eta_c", "0.05", "--model", "block", "--shape",
+                     "2x2", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert "n_times must be >= 2" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_explicit_dt_above_the_guard_exits_two(self, tmp_path, capsys):
+        # the laser frame's one driving frequency is 2 omega_L, so the guard
+        # is dt <= T / 100 with T = 2 pi / omega_L the laser period; a step
+        # between T / 100 and T / 50 is refused
+        period_us = 2 * math.pi / 35800.0
+        out_file = tmp_path / "x.csv"
+        for dt, rc_expected in ((period_us / 70, 2), (period_us / 101, 0)):
+            cfg = tmp_path / "dt.json"
+            cfg.write_text(json.dumps({"dt": dt, "t": 1e-3, "n_times": 2}))
+            rc = run_cli("ghz", "--model", "lab", "--shape", "3x3",
+                         "--config", str(cfg), "--output", str(out_file))
+            err = capsys.readouterr().err
+            assert rc == rc_expected
+            assert ("violates the resolution guard" in err) == (rc == 2)
+            assert out_file.exists() == (rc == 0)
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))
@@ -348,6 +387,23 @@ class TestSweepCommand:
                 expected = (rep.populations[shape.index(s, m, n)]
                             if m < shape.vib_dim else 0.0)
                 assert fmt(value) == fmt(expected)
+
+    def test_config_n_times_reaches_every_point(self, tmp_path,
+                                                monkeypatch):
+        seen = []
+
+        def spy(t_p, n_times):
+            seen.append(n_times)
+            return sample(t_p, n_times)
+
+        sample = ghz_protocol.pulse_times
+        monkeypatch.setattr(ghz_protocol, "pulse_times", spy)
+        cfg = tmp_path / "few.json"
+        cfg.write_text(json.dumps({"n_times": 7}))
+        assert run_cli("sweep", "eta_c", "0.04,0.05", "--model", "ld",
+                       "--shape", "6x6", "--config", str(cfg),
+                       "--output", str(tmp_path / "x.csv")) == 0
+        assert seen == [7, 7]
 
     def test_sweep_output_reparses(self, tmp_path):
         csv_f = tmp_path / "s.csv"

@@ -12,8 +12,11 @@ from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep,
                                to_interaction_picture)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, kron3, pauli_ops
-from ghz_sim.hamiltonian import (BlockParams, build_block_hamiltonian,
-                                 build_ld_hamiltonian, lab_hamiltonian_source)
+from ghz_sim.hamiltonian import (BlockParams, SystemParams,
+                                 build_block_hamiltonian,
+                                 build_ld_hamiltonian, lab_hamiltonian_source,
+                                 rotating_frame_energies,
+                                 rotating_frame_source)
 
 
 def make_block(omega, a):
@@ -223,6 +226,12 @@ class TestEvolutionResult:
             EvolutionResult([0.0, 1.0], np.zeros((2, 9)), shape)
 
 
+def free_params():
+    """No laser and no cavity coupling, off resonance: H is the free H0."""
+    return SystemParams(Omega=0.0, g=0.0, eta_L=0.05, eta_c=0.05, nu=3.0,
+                        omega_0=15.0, omega_c=12.0, omega_L=14.0)
+
+
 def mild_lab_source():
     params = scaled_params(Omega=1.0, nu_ratio=3.0, omega0_ratio=5.0)
     shape = HilbertShape(2, 2)
@@ -243,16 +252,16 @@ class TestEvolveTimedep:
         assert dev < 1e-8
 
     def test_free_evolution_keeps_populations(self):
-        params, shape, source = mild_lab_source()
-        params = scaled_params(Omega=0.0, g=0.0, nu_ratio=3.0, omega0_ratio=5.0)
-        source = lab_hamiltonian_source(params, shape)
+        shape = HilbertShape(2, 2)
+        source = lab_hamiltonian_source(free_params(), shape)
         rng = np.random.default_rng(3)
         amps = rng.normal(size=shape.total_dim) + 1j * rng.normal(size=shape.total_dim)
         psi0 = QuantumState(shape, amps / np.linalg.norm(amps))
         result = evolve_timedep(source, psi0, 1.0, dt=2e-3,
                                 store_times=[0.0, 0.5, 1.0])
         for amps in result.amplitudes:
-            assert np.allclose(np.abs(amps) ** 2, psi0.populations(), atol=1e-9)
+            assert np.allclose(np.abs(amps) ** 2, np.abs(psi0.amplitudes) ** 2,
+                               atol=1e-9)
 
     def test_fourth_order_self_convergence(self):
         params, shape, source = mild_lab_source()
@@ -271,7 +280,7 @@ class TestEvolveTimedep:
     def test_resolution_guard(self):
         params, shape, source = mild_lab_source()
         psi0 = basis_state(shape, "g", 0, 0)
-        omega_max = params.max_frequency()
+        omega_max = 2 * params.omega_L
         dt_max = (2 * math.pi / omega_max) / 50.0
         with pytest.raises(ConfigurationError):
             evolve_timedep(source, psi0, 1.0, dt=dt_max * 2, omega_max=omega_max)
@@ -404,31 +413,46 @@ class TestInteractionPicture:
         amps = rng.normal(size=shape.total_dim) + 1j * rng.normal(size=shape.total_dim)
         state = QuantumState(shape, amps / np.linalg.norm(amps))
         out = to_interaction_picture(held(state, [t]), scaled_params(Omega=1.0))
-        assert np.allclose(np.abs(out.amplitudes[0]) ** 2, state.populations(),
-                           atol=1e-12)
+        assert np.allclose(np.abs(out.amplitudes[0]) ** 2,
+                           np.abs(state.amplitudes) ** 2, atol=1e-12)
 
     def test_matches_per_state_label_loop_exactly(self):
+        # the one composed phase of laser frame and interaction picture is
+        # the detuning form, differences taken before any product
         shape = HilbertShape(3, 4)
-        params = scaled_params(Omega=1.0)
         times = np.array([0.0, 0.3, 1.7, 4.2])
         amps = random_rows(shape, len(times), seed=8)
-        out = to_interaction_picture(
-            EvolutionResult(times, amps, shape), params)
-        energies = np.empty(shape.total_dim)
-        for s, m, n in shape.labels():
-            sign = 1.0 if s == "e" else -1.0
-            energies[shape.index(s, m, n)] = (params.nu * (m + 0.5)
-                                              + params.omega_c * n
-                                              + 0.5 * params.omega_0 * sign)
-        for t, row, rotated in zip(times, amps, out.amplitudes):
-            assert np.array_equal(rotated, np.exp(1j * energies * float(t)) * row)
+        for params in (scaled_params(Omega=1.0), free_params()):
+            out = to_interaction_picture(
+                EvolutionResult(times, amps, shape), params)
+            energies = np.empty(shape.total_dim)
+            for s, m, n in shape.labels():
+                sign = 1.0 if s == "e" else -1.0
+                energies[shape.index(s, m, n)] = (
+                    params.nu * (m + 0.5)
+                    + (params.omega_c - params.omega_L) * n
+                    + 0.5 * (params.omega_0 - params.omega_L) * sign)
+            assert np.array_equal(rotating_frame_energies(params, shape),
+                                  energies)
+            for t, row, rotated in zip(times, amps, out.amplitudes):
+                assert np.array_equal(
+                    rotated, np.exp(1j * energies * float(t)) * row)
+
+    def test_no_optical_phase_at_resonance(self):
+        # omega_0 = omega_L: |g,m,n> and |e,m,n> turn at exactly one rate,
+        # nu (m + 1/2) + (omega_c - omega_L) n, of the order of nu
+        params = scaled_params()
+        shape = HilbertShape(3, 4)
+        energies = rotating_frame_energies(params, shape).reshape(2, -1)
+        assert np.array_equal(energies[0], energies[1])
+        assert np.max(np.abs(energies)) < 10 * params.nu
 
     def test_free_lab_evolution_is_constant_in_interaction_picture(self):
-        # with Omega = g = 0 the lab evolution is pure H0 phases, so the
-        # interaction-picture state never moves
-        params = scaled_params(Omega=0.0, g=0.0, nu_ratio=3.0, omega0_ratio=5.0)
+        # with Omega = g = 0 the laser-frame evolution is pure detuning
+        # phases, so the interaction-picture state never moves
+        params = free_params()
         shape = HilbertShape(2, 2)
-        source = lab_hamiltonian_source(params, shape)
+        source = rotating_frame_source(params, shape)
         rng = np.random.default_rng(9)
         amps = rng.normal(size=shape.total_dim) + 1j * rng.normal(size=shape.total_dim)
         psi0 = QuantumState(shape, amps / np.linalg.norm(amps))

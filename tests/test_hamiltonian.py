@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ghz_sim.hamiltonian import (SystemParams, _quadrature_functions,
                                  build_ld_hamiltonian, build_O_k,
                                  build_rwa_hamiltonian, effective_coupling,
                                  lab_hamiltonian_source, matrix_element_F_c,
-                                 matrix_element_F_L)
+                                 matrix_element_F_L, rotating_frame_source)
 
 # values frozen from the finite-series evaluation of <m|O_k|m>; the
 # independent Laguerre oracle conftest.o_k_oracle reproduces them within 1e-15
@@ -171,14 +172,14 @@ class TestLabHamiltonian:
         params = generic_lab_params()
         shape = HilbertShape(4, 3)
         M, N = shape.vib_dim, shape.cav_dim
-        a_low, a_up = ladder_ops(M)
         b_low, b_up = ladder_ops(N)
-        sigma_z, sigma_p, sigma_m = pauli_ops()
-        eye_i, eye_v, eye_c = (np.eye(d, dtype=complex) for d in (2, M, N))
-        h_free = (
-            params.nu * kron3(eye_i, a_up @ a_low + 0.5 * eye_v, eye_c)
-            + params.omega_c * kron3(eye_i, eye_v, b_up @ b_low)
-            + 0.5 * params.omega_0 * kron3(sigma_z, eye_v, eye_c))
+        _, sigma_p, sigma_m = pauli_ops()
+        eye_c = np.eye(N, dtype=complex)
+        h_free = np.zeros((shape.total_dim,) * 2, dtype=complex)
+        for s, m, n in shape.labels():
+            i = shape.index(s, m, n)
+            h_free[i, i] = (params.nu * (m + 0.5) + params.omega_c * n
+                            + 0.5 * params.omega_0 * (1.0 if s == "e" else -1.0))
         exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c,
                                                params.phi, M)
         h_static = h_free + params.g * kron3(sigma_p + sigma_m, sin_op,
@@ -194,6 +195,55 @@ class TestLabHamiltonian:
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.3])
     def test_hermitian_at_every_time(self, t):
         h = lab_hamiltonian_source(generic_lab_params(), HilbertShape(4, 3))(t)
+        assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+def frame_generator(shape):
+    """Diagonal of sigma_z / 2 + b†b, the generator of the laser frame."""
+    sign = np.array([-0.5, 0.5])[:, None, None]
+    n = np.arange(shape.cav_dim)[None, None, :]
+    return (sign + n + np.zeros((1, shape.vib_dim, 1))).ravel()
+
+
+FRAME_PARAMS = [generic_lab_params(), scaled_params(Omega=1.0)]
+
+
+class TestRotatingFrameSource:
+    @pytest.mark.parametrize("params", FRAME_PARAMS, ids=["generic", "scaled"])
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 2.1, 41.3])
+    def test_laser_frame_returns_the_lab_hamiltonian(self, params, phi, t):
+        # R(t) [H_rot(t) + omega_L (sigma_z / 2 + b†b)] R(t)† = H(t) with
+        # R(t) = exp(-i omega_L t (sigma_z / 2 + b†b)), diagonal
+        params = replace(params, phi=phi)
+        shape = HilbertShape(4, 3)
+        gen = frame_generator(shape)
+        r = np.exp(-1j * params.omega_L * t * gen)
+        h_rot = rotating_frame_source(params, shape)(t)
+        back = (r[:, None] * (h_rot + params.omega_L * np.diag(gen))
+                * r.conj()[None, :])
+        lab = lab_hamiltonian_source(params, shape)(t)
+        assert np.max(np.abs(back - lab)) < 1e-9 * np.max(np.abs(lab))
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 2.1])
+    def test_periodic_in_half_a_laser_period(self, t):
+        params = generic_lab_params()
+        source = rotating_frame_source(params, HilbertShape(4, 3))
+        h = source(t)
+        assert np.max(np.abs(source(t + math.pi / params.omega_L) - h)) \
+            < 1e-12 * np.max(np.abs(h))
+
+    def test_static_part_holds_only_detunings(self):
+        # at resonance the laser-frame Hamiltonian has no entry of the size of
+        # omega_0: its largest is set by nu and the couplings
+        params = scaled_params(Omega=1.0)
+        h = rotating_frame_source(params, HilbertShape(4, 3))(0.37)
+        assert np.max(np.abs(h)) < 10 * params.nu
+        assert params.omega_0 > 100 * params.nu
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.3])
+    def test_hermitian_at_every_time(self, t):
+        h = rotating_frame_source(generic_lab_params(), HilbertShape(4, 3))(t)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
