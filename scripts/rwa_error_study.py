@@ -7,20 +7,19 @@ with the RWA evolution at a fixed fraction of the pulse time. The infidelity
 between the two states should shrink as the hierarchy ratio r grows; absolute
 optical-scale frequencies are numerically out of reach, and the RWA claim is
 about separations, not absolute scales. The lab-frame run is the one the
-protocol makes: the exact laser-frame Hamiltonian, integrated over one period
-pi / omega_L of its counter-rotating term and carried to the end time by the
-period propagator, so its cost barely grows with the ratio.
+protocol makes (``evolve_lab``): the exact laser-frame Hamiltonian, integrated
+over one period pi / omega_L of its counter-rotating term and carried to the
+end time by the period propagator, so its cost barely grows with the ratio.
 """
 
 import argparse
 
 import numpy as np
 
-from ghz_sim.evolution import evolve_static, evolve_timedep, to_interaction_picture
+from ghz_sim.evolution import evolve_static
 from ghz_sim.fock_core import HilbertShape, basis_state
-from ghz_sim.ghz_protocol import _default_lab_dt, ghz_schedule, tune_coupling
-from ghz_sim.hamiltonian import (SystemParams, build_rwa_hamiltonian,
-                                 rotating_frame_source)
+from ghz_sim.ghz_protocol import evolve_lab, ghz_schedule, tune_coupling
+from ghz_sim.hamiltonian import SystemParams, build_rwa_hamiltonian
 
 OMEGA = 1.0
 ETA = 0.05
@@ -37,12 +36,7 @@ def infidelity_at(ratio: float, shape: HilbertShape, time_fraction: float) -> fl
     psi0 = basis_state(shape, "g", 0, 0)
 
     rwa = evolve_static(build_rwa_hamiltonian(params, shape), psi0, [t_end])
-    source = rotating_frame_source(params, shape)
-    omega_max = 2.0 * params.omega_L
-    dt = _default_lab_dt(source, omega_max, t_end)
-    lab = evolve_timedep(source, psi0, t_end, dt, omega_max=omega_max,
-                         period=np.pi / params.omega_L)
-    lab_state = to_interaction_picture(lab, params).final_state
+    lab_state = evolve_lab(params, psi0, [0.0, t_end]).final_state
 
     overlap = abs(np.vdot(rwa.final_state.amplitudes, lab_state.amplitudes)) ** 2
     return 1.0 - overlap

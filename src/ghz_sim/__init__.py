@@ -10,13 +10,12 @@ from .evolution import (EvolutionResult, block_propagator, evolve_static,
 from .fock_core import (HilbertShape, QuantumState, basis_state, kron3,
                         ladder_ops, partial_trace, pauli_ops)
 from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
-                           SweepPoint, fidelity, ghz_schedule,
+                           SweepPoint, evolve_lab, fidelity, ghz_schedule,
                            protocol_timeseries, run_protocol, sweep,
                            target_state, tune_coupling)
 from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian, effective_coupling,
-                          lab_hamiltonian_source, matrix_element_F_c,
-                          matrix_element_F_L, rotating_frame_source)
+                          lab_hamiltonian_source, rotating_frame_source)
 
 __version__ = "0.1.0"

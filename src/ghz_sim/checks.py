@@ -195,7 +195,7 @@ def check_block_structure() -> CheckResult:
     worst = 0.0
     for m in (1, 2):
         for n in (1, 2):
-            h_block, _ = build_block_hamiltonian(params, m, n, ld_limit=True)
+            h_block, _ = build_block_hamiltonian(params, m, n)
             idx = [shape.index("g", m, n), shape.index("e", m, n),
                    shape.index("g", m - 1, n - 1), shape.index("e", m - 1, n - 1)]
             worst = max(worst, float(np.max(np.abs(h_ld[np.ix_(idx, idx)] - h_block))))
@@ -227,15 +227,13 @@ def check_ld_convergence() -> CheckResult:
                        f"difference ratio at eta 0.1 vs 0.05 = {ratio:.4f}")
 
 
-def check_o_k_series(fault: str | None = None) -> CheckResult:
+def check_o_k_series() -> CheckResult:
     """Diagonal dressing operator against an independent generalized-Laguerre
-    evaluation. ``fault='o_k'`` perturbs the built operator by 1e-3 (test hook)."""
+    evaluation."""
     worst = 0.0
     for k in (0, 1, 2):
         for eta in (0.0, 0.05, 0.1, 0.3):
             built = build_O_k(k, eta, 8)
-            if fault == "o_k":
-                built = built + 1e-3 * np.eye(8)
             expected = np.diag([_o_k_entry_laguerre(k, eta, m) for m in range(8)])
             worst = max(worst, float(np.max(np.abs(built - expected))))
     return CheckResult("o_k_series", worst < 1e-12, worst, 1e-12,
@@ -246,7 +244,7 @@ def check_permutation_symmetry() -> CheckResult:
     params = _scaled_params()
     worst = 0.0
     for m, n in ((1, 1), (2, 3)):
-        h, _ = build_block_hamiltonian(params, m, n, ld_limit=True)
+        h, _ = build_block_hamiltonian(params, m, n)
         worst = max(worst, float(np.max(np.abs(BLOCK_PERMUTATION @ h
                                                - h @ BLOCK_PERMUTATION))))
     return CheckResult("permutation_symmetry", worst == 0.0, worst, 0.0,
@@ -302,17 +300,10 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_checks(names: list[str] | None = None,
-               fault: str | None = None) -> list[CheckResult]:
+def run_checks(names: list[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all by default) in declaration order."""
     selected = list(CHECK_NAMES) if names is None else list(names)
     unknown = set(selected) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check(s): {sorted(unknown)}")
-    results = []
-    for name in selected:
-        if name == "o_k_series":
-            results.append(check_o_k_series(fault=fault))
-        else:
-            results.append(_CHECKS[name]())
-    return results
+    return [_CHECKS[name]() for name in selected]

@@ -26,7 +26,7 @@ from . import checks as checks_mod
 from .errors import AccuracyError, ConfigurationError, TruncationError
 from .fock_core import HilbertShape, ION_LABELS
 from .ghz_protocol import (ghz_schedule, parse_label, protocol_timeseries,
-                           pulse_times, sweep, whole_number)
+                           pulse_times, require_memory, sweep, whole_number)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -206,7 +206,7 @@ def cmd_validate(args) -> int:
         for name in checks_mod.CHECK_NAMES:
             print(name)
         return 0
-    results = checks_mod.run_checks(fault=args.inject_fault)
+    results = checks_mod.run_checks()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} measured={fmt(res.measured)} "
@@ -234,6 +234,7 @@ def _run_config(args):
 
 def cmd_ghz(args) -> int:
     config, params, tune, shape, model, initial = _run_config(args)
+    require_memory(shape, model, config["n_times"])
     schedule = ghz_schedule(params, m=config["m"], n=config["n"],
                             p=config["p"], shape=shape, tune=tune)
     explicit_t = config_time(config, "t")
@@ -266,6 +267,9 @@ def parse_values(text: str) -> list[float]:
             raise ConfigurationError(
                 f"bad range {text!r}, expected 'start:stop:step'")
         start, stop, step = (float(v) for v in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigurationError(
+                f"bad range {text!r}: start, stop and step must be finite")
         if step <= 0:
             raise ConfigurationError("range step must be > 0")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -335,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the consistency checks")
     p_val.add_argument("--list", action="store_true",
                        help="print check names without running")
-    p_val.add_argument("--inject-fault", choices=("o_k",),
-                       help="test hook: perturb an internal operator")
     p_val.set_defaults(handler=cmd_validate)
 
     p_ghz = sub.add_parser("ghz", parents=[common],

@@ -9,9 +9,9 @@ Three engines plus the frame transform that links them:
 * :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
   lab-frame model, in the laser frame) with a fixed-step classical
   Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
-  of H(t) it integrates one period only and reaches later times through
-  U(k T + tau) = U(tau) U(T)^k. Norm drift is never repaired by
-  renormalization, it is the accuracy signal;
+  of H(t) it keeps dt <= T / 50, integrates one period only and reaches
+  later times through U(k T + tau) = U(tau) U(T)^k. Norm drift is never
+  repaired by renormalization, it is the accuracy signal;
 * :func:`to_interaction_picture` applies the diagonal phases that map a
   laser-frame trajectory into the interaction picture.
 
@@ -183,8 +183,8 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
 
 def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
                  t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:
-    """March psi, one state (D,) or a block of states (D, K), from t0 to t1
-    with uniform steps of at most dt.
+    """March a block of states psi, shape (D, K), from t0 to t1 with uniform
+    steps of at most dt.
 
     Classical 4th-order Runge-Kutta for i psi' = H(t) psi, with the midpoint
     Hamiltonian shared between the two interior stages. Returns the final
@@ -208,11 +208,7 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
         k4 = -1j * (h_end @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         h_t = h_end
-        # a lone state keeps the whole-vector norm (a column norm sums in
-        # another order)
-        norms = (np.linalg.norm(psi) if psi.ndim == 1
-                 else np.linalg.norm(psi, axis=0))
-        step_drift = float(np.max(np.abs(norms - 1.0)))
+        step_drift = float(np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)))
         drift = max(drift, step_drift)
         if step_drift > NORM_DRIFT_LIMIT:
             raise AccuracyError(
@@ -222,7 +218,7 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
 
 
 def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
-                   t_end: float, dt: float, omega_max: float | None = None,
+                   t_end: float, dt: float,
                    store_times: Sequence[float] | None = None,
                    period: float | None = None) -> EvolutionResult:
     """Integrate i psi' = H(t) psi with a fixed-step 4th-order scheme.
@@ -232,22 +228,21 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     dt : float
         Step-size cap. Each integrated interval is subdivided uniformly so the
         actual step never exceeds dt and store times are hit exactly.
-    omega_max : float, optional
-        Largest frequency of the explicit time dependence of H(t) (2 omega_L
-        for the laser-frame model); when given, enforces the resolution
-        guard dt <= (1/50) (2 pi / omega_max).
     store_times : sequence, optional
         Strictly increasing times >= 0 at which to record the state
         (default: just 0 and t_end). Must end at t_end.
     period : float, optional
-        A period T of H(t), H(t + T) = H(t). Then U(k T + tau) =
-        U(tau) U(T)^k (Floquet), so only one period is integrated: if a store
-        time lies at or beyond T, the identity is marched over [0, T] to
-        give U(T), and psi_k = U(T)^k psi0 is kept for each period k that
-        holds a store time. The block of those psi_k is then marched once
-        through the sorted offsets tau_i = t_i - k_i T, and row i is read
-        from column k_i. Without a period, or with every store time inside
-        the first one, the state alone is marched through the store times.
+        A period T of H(t), H(t + T) = H(t) (pi / omega_L for the
+        laser-frame model). It sets the resolution guard dt <= T / 50, and
+        since U(k T + tau) = U(tau) U(T)^k (Floquet) only one period is
+        integrated: if a store time lies at or beyond T, the identity is
+        marched over [0, T] to give U(T).
+
+    One march path serves every run. psi_k = U(T)^k psi0 is kept for each
+    period k that holds a store time; without a period, or with every store
+    time inside the first one, that is psi0 alone as one column. The (D, K)
+    block of those columns is marched once through the sorted offsets
+    tau_i = t_i - k_i T, and row i is read from column k_i.
 
     Norm drift of any marched column above 1e-6 at any step raises
     :class:`AccuracyError`, and so does the unitarity bound
@@ -258,14 +253,16 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         raise ConfigurationError(f"dt must be a finite number > 0, got {dt!r}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    if period is not None and not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be a finite number > 0, got {period!r}")
-    if omega_max is not None and omega_max > 0:
-        dt_max = (2.0 * np.pi / omega_max) / 50.0
+    if period is not None:
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(
+                f"period must be a finite number > 0, got {period!r}")
+        dt_max = period / 50.0
         if dt > dt_max * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt = {dt:.3e} violates the resolution guard "
-                f"dt <= (1/50)(2 pi / omega_max) = {dt_max:.3e}")
+                f"dt <= T / 50 = {dt_max:.3e} (T = {period:.3e}, the period "
+                f"of H(t))")
 
     if store_times is None:
         store_times = [0.0, t_end] if t_end > 0 else [0.0]
@@ -287,9 +284,7 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
 
     dim = initial.shape.total_dim
     drift = 0.0
-    if k_max == 0:
-        block = initial.amplitudes.copy()
-    else:
+    if k_max > 0:
         u_period, drift = _rk4_segment(h_of_t, np.eye(dim, dtype=complex),
                                        0.0, period, dt)
         unitarity = k_max * float(np.linalg.norm(
@@ -300,12 +295,12 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
                 f"over k = {k_max} periods exceeded {NORM_DRIFT_LIMIT:.1e}; "
                 f"reduce dt", drift=unitarity)
         drift = max(drift, unitarity)
-        block = np.empty((dim, len(kept)), dtype=complex)
-        psi, power = initial.amplitudes, 0
-        for col, k_col in enumerate(kept):
-            for _ in range(k_col - power):
-                psi = u_period @ psi
-            block[:, col], power = psi, k_col
+    block = np.empty((dim, len(kept)), dtype=complex)
+    psi, power = initial.amplitudes, 0
+    for col, k_col in enumerate(kept):
+        for _ in range(k_col - power):
+            psi = u_period @ psi
+        block[:, col], power = psi, k_col
 
     amps = np.empty((len(store_times), dim), dtype=complex)
     t_now = 0.0
@@ -313,8 +308,7 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         block, seg_drift = _rk4_segment(h_of_t, block, t_now, offsets[i], dt)
         drift = max(drift, seg_drift)
         t_now = offsets[i]
-        # a lone state is read as the only column of a (dim, 1) view
-        amps[i] = block.reshape(dim, -1)[:, column[i]]
+        amps[i] = block[:, column[i]]
     return EvolutionResult(store_times, amps, initial.shape, norm_drift=drift)
 
 

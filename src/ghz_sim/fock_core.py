@@ -99,9 +99,6 @@ class QuantumState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated lowering and raising operators on a single Fock space.

@@ -8,10 +8,11 @@ three-party state of ion, phonon pair and photon pair.
 
 Four model levels can execute the same schedule: the closed-form block
 propagator, the full Lamb-Dicke Hamiltonian, the dressed RWA Hamiltonian and
-the time-dependent lab-frame model. The lab-frame model is integrated in the
-exact laser frame, one period pi / omega_L of its counter-rotating term at a
-time, and scored after one composed diagonal phase takes it into the
-interaction picture. A run is scored at all its sample times at once, as
+the time-dependent lab-frame model. The lab-frame model has one entry point,
+:func:`evolve_lab`: it is integrated in the exact laser frame over one
+period pi / omega_L of its counter-rotating term, which also caps the RK4
+step, and one composed diagonal phase takes it into the interaction picture
+before it is scored. A run is scored at all its sample times at once, as
 arrays of the fidelity against the scheduled target, the norm, the population
 that escaped the 4-state block and the basis populations.
 """
@@ -19,6 +20,7 @@ that escaped the 4-state block and the basis populations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -176,21 +178,47 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                             tuned_g=params.g, block=block, target=target)
 
 
-def _default_lab_dt(source, omega_max: float, t_end: float) -> float:
+def _default_lab_dt(source, period: float | None, t_end: float) -> float:
     """Step size for a lab-frame run in the laser frame: inside the
-    resolution guard of its one driving frequency omega_max (none when that
-    is 0: the Hamiltonian is static) and small enough that the accumulated
-    RK4 norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius
-    of H) stays an order of magnitude below the 1e-6 drift limit. The
-    unitarity bound of a period run, which takes the worst-damped direction
-    and so reads about twice that drift, stays below the limit too."""
-    dt = ((2.0 * math.pi / omega_max) / 50.0 / 1.28 if omega_max > 0
-          else t_end)
+    resolution guard T / 50 of its period T (none when there is no period:
+    the Hamiltonian is static) and small enough that the accumulated RK4
+    norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius of H)
+    stays an order of magnitude below the 1e-6 drift limit. The unitarity
+    bound of a period run, which takes the worst-damped direction and so
+    reads about twice that drift, stays below the limit too."""
+    dt = period / 50.0 / 1.28 if period is not None else t_end
     if t_end > 0:
         lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
         if lam > 0:
             dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
     return dt
+
+
+def evolve_lab(params: SystemParams, initial: QuantumState,
+               times: Sequence[float], dt: float | None = None
+               ) -> EvolutionResult:
+    """Run the lab-frame model from ``initial`` to each of ``times`` and
+    return the trajectory in the interaction picture.
+
+    The run is integrated in the exact laser frame
+    (:func:`rotating_frame_source`), where only C exp(-2i omega_L t) and its
+    conjugate stay time dependent, so H_rot has period T = pi / omega_L
+    (none at omega_L = 0: H_rot is then static). :func:`evolve_timedep`
+    integrates one such period with steps of at most ``dt`` (by default the
+    largest step that keeps the RK4 norm drift well inside its limit, and
+    at most T / 50 / 1.28), and one composed diagonal phase
+    (:func:`to_interaction_picture`) takes the result into the interaction
+    picture. ``times`` must be strictly increasing and >= 0."""
+    source = rotating_frame_source(params, initial.shape)
+    period = math.pi / params.omega_L if params.omega_L > 0 else None
+    times = np.asarray(times, dtype=float)
+    t_end = float(times[-1])
+    if dt is None:
+        dt = _default_lab_dt(source, period, t_end)
+    return to_interaction_picture(
+        evolve_timedep(source, initial, t_end=t_end, dt=dt,
+                       store_times=times, period=period),
+        params)
 
 
 def _evolve_states(params: SystemParams, initial_label: Label, model: str,
@@ -218,19 +246,7 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         result = evolve_static(build_rwa_hamiltonian(run_params, shape),
                                initial, times)
     elif model == "lab_frame":
-        # the laser frame leaves only C exp(-2i omega_L t) and its conjugate
-        # time dependent, so H_rot repeats after half a laser period
-        source = rotating_frame_source(run_params, shape)
-        omega_max = 2.0 * run_params.omega_L
-        if dt is None:
-            dt = _default_lab_dt(source, omega_max, float(times[-1]))
-        period = (math.pi / run_params.omega_L
-                  if run_params.omega_L > 0 else None)
-        result = to_interaction_picture(
-            evolve_timedep(source, initial, float(times[-1]), dt,
-                           omega_max=omega_max, store_times=times,
-                           period=period),
-            run_params)
+        result = evolve_lab(run_params, initial, times, dt)
     else:
         raise ValueError(
             f"unknown model {model!r}, expected one of {MODEL_TAGS}")
@@ -276,6 +292,21 @@ def protocol_timeseries(params: SystemParams, initial_label: Label, model: str,
     for values in series:
         values.flags.writeable = False
     return ProtocolSeries(shape, *series)
+
+
+def require_memory(shape: HilbertShape, model: str, n_times: int):
+    """Refuse, before anything is allocated, a run whose largest dense array
+    exceeds physical memory: the (n_times, D) complex trajectory of every
+    model, or the D x D complex Hamiltonian of ld, rwa and lab."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    dim = shape.total_dim
+    need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
+    if model != "block_analytic" and 16 * dim * dim > need:
+        need, what = 16 * dim * dim, f"its {dim} x {dim} Hamiltonian"
+    if need > physical:
+        raise ConfigurationError(
+            f"shape {shape.vib_dim}x{shape.cav_dim} needs {need:,} bytes for "
+            f"{what}, more than the {physical:,} bytes of physical memory")
 
 
 def pulse_times(t_p: float, n_times: int) -> np.ndarray:
@@ -339,6 +370,7 @@ def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
         shape = HilbertShape(vib_dim=shape.vib_dim, cav_dim=value)
     elif axis == "dt":
         dt = float(value)
+    require_memory(shape, model, n_times)
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
     report = run_protocol(params, initial_label, model, schedule, shape=shape,
                           dt=dt, n_times=n_times)

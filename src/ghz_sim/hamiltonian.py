@@ -158,23 +158,6 @@ def build_O_k(k: int, eta: float, dim: int) -> np.ndarray:
     return np.diag([_o_k_entry(k, eta, m) for m in range(dim)]).astype(complex)
 
 
-def matrix_element_F_L(m: int, eta_L: float) -> float:
-    """Carrier dressing F^L_{m,m} = <m| O_0(eta_L) |m>; tends to 1 as eta_L -> 0."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _o_k_entry(0, eta_L, m)
-
-
-def matrix_element_F_c(m: int, eta_c: float) -> float:
-    """Sideband dressing F^c_{m,m-1} = <m| eta_c a† O_1(eta_c) |m-1> = eta_c sqrt(m) <m-1|O_1|m-1>.
-
-    Tends to eta_c * sqrt(m) in the Lamb-Dicke limit. Requires m >= 1.
-    """
-    if m < 1:
-        raise ValueError("F^c_{m,m-1} needs m >= 1")
-    return eta_c * math.sqrt(m) * _o_k_entry(1, eta_c, m - 1)
-
-
 def _quadrature_functions(eta_L: float, eta_c: float, phi: float,
                           dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(exp(i eta_L x), sin(eta_c x + phi)) of the vibrational quadrature x = a† + a,
@@ -285,8 +268,8 @@ def build_rwa_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarr
     H = Omega (sigma_+ + sigma_-) O_0(eta_L)
         + g_eff [sigma_+ b (eta_c O_1(eta_c) a) + h.c.]
 
-    so that <g,m,n|H|e,m,n> = Omega F^L_{m,m} and
-    <g,m,n|H|e,m-1,n-1> = g_eff F^c_{m,m-1} sqrt(n). Time independent; requires
+    so that <g,m,n|H|e,m,n> = Omega <m|O_0|m> and <g,m,n|H|e,m-1,n-1> =
+    g_eff eta_c sqrt(m) <m-1|O_1|m-1> sqrt(n). Time independent; requires
     the carrier and red-sideband resonance conditions.
     """
     params.require_resonances()
@@ -332,27 +315,15 @@ def block_basis_labels(m: int, n: int) -> tuple[tuple[str, int, int], ...]:
     return (("g", m, n), ("e", m, n), ("g", m - 1, n - 1), ("e", m - 1, n - 1))
 
 
-def build_block_hamiltonian(params: SystemParams, m: int, n: int,
-                            ld_limit: bool = True) -> tuple[np.ndarray, BlockParams]:
-    """4x4 Hamiltonian on (|g,m,n>, |e,m,n>, |g,m-1,n-1>, |e,m-1,n-1>).
-
-    With ``ld_limit`` the couplings are (Omega, Omega, a = g_eff eta_c sqrt(mn));
-    without, the dressed values (Omega F^L_{m,m}, Omega F^L_{m-1,m-1},
-    g_eff F^c_{m,m-1} sqrt(n)).
+def build_block_hamiltonian(params: SystemParams, m: int,
+                            n: int) -> tuple[np.ndarray, BlockParams]:
+    """4x4 Lamb-Dicke Hamiltonian on (|g,m,n>, |e,m,n>, |g,m-1,n-1>,
+    |e,m-1,n-1>): carrier couplings Omega and sideband coupling
+    a = g_eff eta_c sqrt(mn), the restriction of :func:`build_ld_hamiltonian`.
     """
-    if m < 1 or n < 1:
-        raise ValueError("block indices m, n must be >= 1")
     block = BlockParams.from_params(params, m, n)
-    if ld_limit:
-        carrier_up = carrier_dn = params.Omega
-        sideband = block.a
-    else:
-        carrier_up = params.Omega * matrix_element_F_L(m, params.eta_L)
-        carrier_dn = params.Omega * matrix_element_F_L(m - 1, params.eta_L)
-        sideband = (effective_coupling(params.g, params.phi)
-                    * matrix_element_F_c(m, params.eta_c) * math.sqrt(n))
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = carrier_up
-    h[2, 3] = h[3, 2] = carrier_dn
-    h[0, 3] = h[3, 0] = sideband
+    h[0, 1] = h[1, 0] = params.Omega
+    h[2, 3] = h[3, 2] = params.Omega
+    h[0, 3] = h[3, 0] = block.a
     return h, block

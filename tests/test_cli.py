@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ghz_sim import checks
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import fmt, main, read_table
 from ghz_sim.evolution import block_propagator
@@ -48,8 +49,14 @@ class TestValidate:
         assert rc == 1
         assert "block_schrodinger_residual" in out
 
-    def test_injected_fault_is_caught(self, capsys):
-        rc = run_cli("validate", "--inject-fault", "o_k")
+    def test_injected_fault_is_caught(self, capsys, monkeypatch):
+        build_O_k = checks.build_O_k
+
+        def perturbed(k, eta, dim):
+            return build_O_k(k, eta, dim) + 1e-3 * np.eye(dim)
+
+        monkeypatch.setattr(checks, "build_O_k", perturbed)
+        rc = run_cli("validate")
         out = capsys.readouterr().out
         assert rc == 1
         assert any(ln.startswith("FAIL o_k_series") for ln in out.splitlines())
@@ -310,8 +317,8 @@ class TestExitCodes:
         assert not out_file.exists()
 
     def test_explicit_dt_above_the_guard_exits_two(self, tmp_path, capsys):
-        # the laser frame's one driving frequency is 2 omega_L, so the guard
-        # is dt <= T / 100 with T = 2 pi / omega_L the laser period; a step
+        # the laser frame repeats after pi / omega_L, so the guard is
+        # dt <= T / 100 with T = 2 pi / omega_L the laser period; a step
         # between T / 100 and T / 50 is refused
         period_us = 2 * math.pi / 35800.0
         out_file = tmp_path / "x.csv"
@@ -324,6 +331,46 @@ class TestExitCodes:
             assert rc == rc_expected
             assert ("violates the resolution guard" in err) == (rc == 2)
             assert out_file.exists() == (rc == 0)
+
+    @pytest.mark.parametrize("model, shape, needs", [
+        ("ld", "100000x100000", "20000000000 x 20000000000 Hamiltonian"),
+        ("lab", "100000x100000", "20000000000 x 20000000000 Hamiltonian"),
+        ("block", "100000x100000", "n_times = 101 trajectory")])
+    def test_shape_beyond_memory_exits_two(self, tmp_path, capsys, model,
+                                           shape, needs):
+        # refused before anything is allocated: 6.4e21 and 3.2e13 bytes
+        out_file = tmp_path / "x.csv"
+        for command in (("ghz",), ("sweep", "eta_c", "0.05")):
+            rc = run_cli(*command, "--model", model, "--shape", shape,
+                         "--output", str(out_file))
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert f"shape {shape} needs" in err and needs in err
+            assert "physical memory" in err
+            assert not out_file.exists()
+
+    def test_n_times_beyond_memory_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"n_times": 10 ** 15}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--model", "block", "--shape", "2x2",
+                     "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert "n_times = 1000000000000000 trajectory" in \
+            capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("values", ["0:inf:0.1", "0:-inf:0.1",
+                                        "-inf:0.1:0.1", "0:nan:0.1",
+                                        "nan:0.1:0.1", "0:0.1:inf"])
+    def test_non_finite_sweep_range_exits_two(self, tmp_path, capsys,
+                                              values):
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "--model", "block", "--shape", "2x2",
+                     "--output", str(out_file), "eta_c", "--", values)
+        assert rc == 2
+        assert f"bad range {values!r}" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",

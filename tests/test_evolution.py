@@ -278,14 +278,16 @@ class TestEvolveTimedep:
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_resolution_guard(self):
+        # the period T of H(t) caps the step at T / 50
         params, shape, source = mild_lab_source()
         psi0 = basis_state(shape, "g", 0, 0)
-        omega_max = 2 * params.omega_L
-        dt_max = (2 * math.pi / omega_max) / 50.0
-        with pytest.raises(ConfigurationError):
-            evolve_timedep(source, psi0, 1.0, dt=dt_max * 2, omega_max=omega_max)
+        period = 2 * math.pi / params.omega_L
+        with pytest.raises(ConfigurationError, match="resolution guard"):
+            evolve_timedep(source, psi0, 1.0, dt=2 * period / 50,
+                           period=period)
         # at the guard boundary the call is accepted
-        evolve_timedep(source, psi0, 10 * dt_max, dt=dt_max, omega_max=omega_max)
+        evolve_timedep(source, psi0, 10 * period / 50, dt=period / 50,
+                       period=period)
 
     def test_norm_drift_raises_accuracy_error(self):
         shape = HilbertShape(1, 1)

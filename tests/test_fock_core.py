@@ -140,7 +140,8 @@ class TestEmbed:
 
 class TestBasisState:
     def test_unit_norm(self):
-        assert basis_state(HilbertShape(2, 2), "g", 0, 0).norm() == 1.0
+        state = basis_state(HilbertShape(2, 2), "g", 0, 0)
+        assert np.linalg.norm(state.amplitudes) == 1.0
 
     def test_orthonormal(self):
         sh = HilbertShape(2, 2)

@@ -10,8 +10,9 @@ from conftest import scaled_params
 from ghz_sim.errors import ConfigurationError, TruncationError
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, partial_trace
 from ghz_sim import ghz_protocol
-from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule, fidelity,
-                                  ghz_schedule, protocol_timeseries,
+from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule,
+                                  evolve_lab, fidelity, ghz_schedule,
+                                  protocol_timeseries,
                                   run_protocol, sweep, target_state,
                                   tune_coupling)
 from ghz_sim.evolution import evolve_timedep
@@ -275,23 +276,26 @@ class TestRunProtocol:
     @pytest.mark.parametrize("omega_L", [4000.0, 0.0])
     def test_lab_run_passes_the_laser_period(self, monkeypatch, omega_L):
         # in the laser frame only C exp(-2i omega_L t) is time dependent:
-        # period pi / omega_L, guard frequency 2 omega_L; omega_L = 0 leaves
-        # H constant, with no period to pass
+        # period pi / omega_L, which also sets the step guard; omega_L = 0
+        # leaves H constant, with no period to pass
         params = replace(scaled_params(Omega=1.0), omega_L=omega_L)
         shape = HilbertShape(3, 3)
         schedule = ghz_schedule(params, shape=shape)
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append((kwargs["period"], kwargs["omega_max"]))
+            seen.append(kwargs)
             return engine(*args, **kwargs)
 
         engine = ghz_protocol.evolve_timedep
         monkeypatch.setattr(ghz_protocol, "evolve_timedep", spy)
         protocol_timeseries(params, ("g", 0, 0), "lab_frame", schedule,
                             [0.0, 1e-3], shape=shape)
-        assert seen == [(math.pi / omega_L if omega_L else None,
-                         2 * omega_L)]
+        assert [kw["period"] for kw in seen] == \
+            [math.pi / omega_L if omega_L else None]
+        assert "omega_max" not in seen[0]
+        # the names a caller's tracer binds
+        assert {"t_end", "dt", "store_times"} <= set(seen[0])
 
     @pytest.mark.parametrize("model", ["block_analytic", "ld_full"])
     @pytest.mark.parametrize("n_times", [0, 1])
@@ -338,12 +342,11 @@ class TestLaserFrame:
         # 0.02 t_p: 38 laser periods, 77 periods of the laser frame
         times = np.linspace(0.0, 0.02 * schedule.t_p, 11)
         initial = ("g", 0, 0)
-        production = ghz_protocol._evolve_states(
-            params, initial, "lab_frame", schedule, shape, times, None)
+        run = replace(params, g=schedule.tuned_g)
+        production = evolve_lab(run, basis_state(shape, *initial), times)
         series = protocol_timeseries(params, initial, "lab_frame", schedule,
                                      times, shape=shape)
 
-        run = replace(params, g=schedule.tuned_g)
         plain = evolve_timedep(lab_hamiltonian_source(run, shape),
                                basis_state(shape, *initial), times[-1],
                                2 * math.pi / run.omega_L / 400,

@@ -14,8 +14,7 @@ from ghz_sim.hamiltonian import (SystemParams, _quadrature_functions,
                                  build_block_hamiltonian,
                                  build_ld_hamiltonian, build_O_k,
                                  build_rwa_hamiltonian, effective_coupling,
-                                 lab_hamiltonian_source, matrix_element_F_c,
-                                 matrix_element_F_L, rotating_frame_source)
+                                 lab_hamiltonian_source, rotating_frame_source)
 
 # values frozen from the finite-series evaluation of <m|O_k|m>; the
 # independent Laguerre oracle conftest.o_k_oracle reproduces them within 1e-15
@@ -67,36 +66,43 @@ class TestOkOperator:
             build_O_k(-1, 0.1, 3)
 
 
+def f_l(m, eta):
+    """Carrier dressing F^L_{m,m} = <m| O_0(eta) |m>, read off build_O_k."""
+    return build_O_k(0, eta, m + 1)[m, m].real
+
+
+def f_c(m, eta):
+    """Sideband dressing F^c_{m,m-1} = <m| eta a† O_1(eta) |m-1>
+    = eta sqrt(m) <m-1| O_1(eta) |m-1>, read off build_O_k."""
+    return eta * math.sqrt(m) * build_O_k(1, eta, m)[m - 1, m - 1].real
+
+
 class TestMatrixElements:
     def test_FL_eta_zero_is_one(self):
         for m in (0, 1, 5, 9):
-            assert matrix_element_F_L(m, 0.0) == 1.0
+            assert f_l(m, 0.0) == 1.0
 
     def test_FL_ground_closed_form(self):
-        assert matrix_element_F_L(0, 0.2) == pytest.approx(math.exp(-0.02), abs=0)
+        assert f_l(0, 0.2) == pytest.approx(math.exp(-0.02), abs=0)
 
     def test_FL_m2_frozen_oracle_value(self):
-        assert matrix_element_F_L(2, 0.1) == pytest.approx(FL_M2_ETA01, abs=1e-15)
+        assert f_l(2, 0.1) == pytest.approx(FL_M2_ETA01, abs=1e-15)
         assert o_k_oracle(0, 0.1, 2) == pytest.approx(FL_M2_ETA01, abs=1e-15)
 
     def test_Fc_lamb_dicke_limit(self):
         # F^c_{1,0} / eta_c -> 1 as eta_c -> 0
         for eta in (1e-3, 1e-5):
-            assert matrix_element_F_c(1, eta) / eta == pytest.approx(1.0, rel=1e-5)
+            assert f_c(1, eta) / eta == pytest.approx(1.0, rel=1e-5)
 
     def test_Fc_m1_frozen_value(self):
-        assert matrix_element_F_c(1, 0.05) == pytest.approx(FC_M1_ETA005, abs=1e-15)
+        assert f_c(1, 0.05) == pytest.approx(FC_M1_ETA005, abs=1e-15)
         assert FC_M1_ETA005 == pytest.approx(0.05 * math.exp(-0.00125), abs=1e-15)
 
     def test_Fc_zero_eta_vanishes(self):
-        assert matrix_element_F_c(4, 0.0) == 0.0
-
-    def test_Fc_requires_m_at_least_one(self):
-        with pytest.raises(ValueError):
-            matrix_element_F_c(0, 0.1)
+        assert f_c(4, 0.0) == 0.0
 
     def test_Fc_general_matches_series(self):
-        assert matrix_element_F_c(3, 0.2) == pytest.approx(
+        assert f_c(3, 0.2) == pytest.approx(
             0.2 * math.sqrt(3) * o_k_oracle(1, 0.2, 2), abs=1e-15)
 
 
@@ -255,10 +261,12 @@ class TestRwaHamiltonian:
         g11 = shape.index("g", 1, 1)
         e11 = shape.index("e", 1, 1)
         e00 = shape.index("e", 0, 0)
-        assert h[g11, e11] == pytest.approx(1.0 * matrix_element_F_L(1, 0.1),
+        # Omega F^L_{1,1} and g_eff F^c_{1,0} sqrt(1), F^c_{1,0} =
+        # eta_c <0|O_1|0>, from the independent Laguerre oracle
+        assert h[g11, e11] == pytest.approx(1.0 * o_k_oracle(0, 0.1, 1),
                                             abs=1e-15)
-        assert h[g11, e00] == pytest.approx(2.0 * matrix_element_F_c(1, 0.05),
-                                            abs=1e-15)
+        assert h[g11, e00] == pytest.approx(
+            2.0 * 0.05 * o_k_oracle(1, 0.05, 0), abs=1e-15)
 
     def test_eta_c_zero_kills_sideband(self):
         params = scaled_params(Omega=1.0, eta_c=0.0, eta_L=0.1, g=2.0)
@@ -342,7 +350,7 @@ class TestBlockHamiltonian:
         # Omega = 1, g eta_c = 1/sqrt(15): nonzeros (0,1) = (2,3) = 1 and
         # (0,3) = 1/sqrt(15)
         params = scaled_params(Omega=1.0, eta_c=0.05)
-        h, block = build_block_hamiltonian(params, 1, 1, ld_limit=True)
+        h, block = build_block_hamiltonian(params, 1, 1)
         assert h[0, 1] == 1.0 and h[2, 3] == 1.0
         assert h[0, 3].real == pytest.approx(1.0 / math.sqrt(15.0), rel=1e-12)
         assert np.count_nonzero(h) == 6
@@ -351,30 +359,12 @@ class TestBlockHamiltonian:
 
     def test_omega_zero_single_sideband_oscillation(self):
         params = scaled_params(Omega=0.0, eta_c=0.1, g=3.0)
-        h, block = build_block_hamiltonian(params, 1, 1, ld_limit=True)
+        h, block = build_block_hamiltonian(params, 1, 1)
         assert h[0, 1] == 0.0 and h[2, 3] == 0.0
         assert h[0, 3] == pytest.approx(block.a, abs=0)
         freqs = np.linalg.eigvalsh(h)
         assert np.allclose(sorted(freqs), [-block.a, 0.0, 0.0, block.a],
                            atol=1e-15)
-
-    def test_dressed_limits_to_ld_as_eta_squared(self):
-        def diff(eta):
-            params = scaled_params(Omega=1.0, eta_c=eta, eta_L=eta, g=2.0)
-            dressed, _ = build_block_hamiltonian(params, 2, 2, ld_limit=False)
-            ld, _ = build_block_hamiltonian(params, 2, 2, ld_limit=True)
-            return np.max(np.abs(dressed - ld))
-
-        ratio = diff(0.08) / diff(0.04)
-        assert ratio == pytest.approx(4.0, abs=0.8)
-
-    def test_dressed_couplings(self):
-        params = scaled_params(Omega=1.5, eta_c=0.2, eta_L=0.1, g=2.0)
-        h, _ = build_block_hamiltonian(params, 2, 3, ld_limit=False)
-        assert h[0, 1] == pytest.approx(1.5 * matrix_element_F_L(2, 0.1), abs=0)
-        assert h[2, 3] == pytest.approx(1.5 * matrix_element_F_L(1, 0.1), abs=0)
-        assert h[0, 3] == pytest.approx(
-            2.0 * matrix_element_F_c(2, 0.2) * math.sqrt(3), rel=1e-15)
 
     def test_invalid_block_indices(self):
         params = scaled_params()
@@ -424,6 +414,5 @@ def test_every_builder_hermitian(omega, g, eta_l, eta_c, phi):
     for h in (build_rwa_hamiltonian(params, shape),
               build_ld_hamiltonian(params, shape),
               lab_hamiltonian_source(params, shape)(0.31),
-              build_block_hamiltonian(params, 1, 1)[0],
-              build_block_hamiltonian(params, 2, 1, ld_limit=False)[0]):
+              build_block_hamiltonian(params, 1, 1)[0]):
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
