@@ -25,8 +25,9 @@ import numpy as np
 from . import checks as checks_mod
 from .errors import AccuracyError, ConfigurationError, TruncationError
 from .fock_core import HilbertShape, ION_LABELS
-from .ghz_protocol import (ghz_schedule, parse_label, protocol_timeseries,
-                           pulse_times, require_memory, sweep, whole_number)
+from .ghz_protocol import (_physical_memory, ghz_schedule, parse_label,
+                           protocol_timeseries, pulse_times, require_memory,
+                           sweep, whole_number)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -146,16 +147,17 @@ def resolve_model(name: str) -> str:
 
 def write_table(path: str, columns: list[str], rows: list[list[float]],
                 file_format: str):
-    if file_format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    elif file_format == "json":
-        payload = {"columns": columns,
-                   "rows": [[float(fmt(v)) for v in row] for row in rows]}
-        text = json.dumps(payload, indent=1) + "\n"
-    else:
+    if file_format not in ("csv", "json"):
         raise ConfigurationError(f"unknown output format {file_format!r}")
+    # one %-format per row writes the same bytes as joining fmt of each value
+    row_format = ",".join(["%.11e"] * len(columns))
+    lines = [row_format % tuple(row) for row in rows]
+    if file_format == "csv":
+        text = "\n".join([",".join(columns)] + lines) + "\n"
+    else:
+        payload = {"columns": columns, "rows": [
+            list(map(float, line.split(","))) for line in lines]}
+        text = json.dumps(payload, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -272,8 +274,16 @@ def parse_values(text: str) -> list[float]:
                 f"bad range {text!r}: start, stop and step must be finite")
         if step <= 0:
             raise ConfigurationError("range step must be > 0")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 0))]
+        # refused before the list is built, at 32 bytes a value (a float and
+        # its pointer); counted as a float, an infinite count fails too
+        count = float(np.floor((stop - start) / step + 1e-9)) + 1
+        physical = _physical_memory()
+        if not 32 * count <= physical:
+            raise ConfigurationError(
+                f"bad range {text!r}: its {count:,.0f} points need at least "
+                f"{32 * count:,.0f} bytes, more than the {physical:,} bytes "
+                f"of physical memory")
+        return [start + i * step for i in range(max(int(count), 0))]
     values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ConfigurationError(f"no values in {text!r}")
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run the protocol across one parameter axis")
     p_sweep.add_argument("axis", help="one of eta_c, eta_L, phi, p, vib_dim, "
-                                      "cav_dim, dt")
+                                      "cav_dim, dt (lab model only)")
     p_sweep.add_argument("values", help="comma list '0.02,0.05' or range "
                                         "'0:1.5:0.25'")
     p_sweep.add_argument("--no-tune", action="store_true",

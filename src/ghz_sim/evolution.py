@@ -3,7 +3,8 @@
 Three engines plus the frame transform that links them:
 
 * :func:`block_propagator` is the closed-form 4x4 propagator of one
-  sideband block (see the honesty note in its docstring);
+  sideband block, at one time or stacked over an array of times (see the
+  honesty note in its docstring);
 * :func:`evolve_static` evolves under any time-independent Hermitian
   Hamiltonian by eigendecomposition, exp(-iHt) applied exactly;
 * :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
@@ -101,16 +102,23 @@ class EvolutionResult:
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        # row by row: an axis=1 norm sums in another order (outputs move)
-        return np.array([np.linalg.norm(row) for row in self.amplitudes])
+        # row by row: an axis=1 norm sums in another order (outputs move);
+        # sqrt(re.re + im.im) is np.linalg.norm's arithmetic for a complex row
+        return np.array([math.sqrt(re.dot(re) + im.dot(im)) for re, im in
+                         zip(self.amplitudes.real, self.amplitudes.imag)])
 
     @property
     def final_state(self) -> QuantumState:
         return QuantumState(self.shape, self.amplitudes[-1])
 
 
-def block_propagator(block: BlockParams, t: float) -> np.ndarray:
+def block_propagator(block: BlockParams,
+                     t: float | np.ndarray) -> np.ndarray:
     """Closed-form 4x4 propagator of one sideband block at time t.
+
+    ``t`` is a scalar, giving one (4, 4) matrix, or an array of times of
+    shape (T,), giving the (T, 4, 4) stack of the propagators at each time;
+    every time must be >= 0.
 
     Columns 2 and 3 (initial |g,m-1,n-1> and |e,m-1,n-1>) are the printed
     closed-form amplitudes built from sin/cos of (a t) and (mu t) with
@@ -125,7 +133,8 @@ def block_propagator(block: BlockParams, t: float) -> np.ndarray:
     (mu t = p pi, a t = pi/4) this closed form reproduces the GHZ targets
     exactly, which is what the protocol layer is built on.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("propagation time must be >= 0")
     a, mu, omega = block.a, block.mu, block.Omega
     sa, ca = np.sin(a * t), np.cos(a * t)
@@ -133,20 +142,20 @@ def block_propagator(block: BlockParams, t: float) -> np.ndarray:
     ratio_a = a / mu if mu > 0 else 0.0
     ratio_o = omega / mu if mu > 0 else 0.0
 
-    u = np.zeros((4, 4), dtype=complex)
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
     # initial |g,m-1,n-1>
-    u[2, 2] = ratio_a * sa * sm + ca * cm
-    u[3, 2] = -1j * ratio_o * ca * sm
-    u[0, 2] = -ratio_o * sa * sm
-    u[1, 2] = 1j * (ratio_a * ca * sm - sa * cm)
+    u[..., 2, 2] = ratio_a * sa * sm + ca * cm
+    u[..., 3, 2] = -1j * ratio_o * ca * sm
+    u[..., 0, 2] = -ratio_o * sa * sm
+    u[..., 1, 2] = 1j * (ratio_a * ca * sm - sa * cm)
     # initial |e,m-1,n-1>
-    u[3, 3] = ca * cm - ratio_a * sa * sm
-    u[2, 3] = -1j * ratio_o * ca * sm
-    u[1, 3] = -ratio_o * sa * sm
-    u[0, 3] = -1j * (ratio_a * ca * sm + sa * cm)
+    u[..., 3, 3] = ca * cm - ratio_a * sa * sm
+    u[..., 2, 3] = -1j * ratio_o * ca * sm
+    u[..., 1, 3] = -ratio_o * sa * sm
+    u[..., 0, 3] = -1j * (ratio_a * ca * sm + sa * cm)
     # initial |g,m,n> and |e,m,n>: permutation images of columns 3 and 2
-    u[:, 0] = BLOCK_PERMUTATION @ u[:, 3]
-    u[:, 1] = BLOCK_PERMUTATION @ u[:, 2]
+    u[..., 0] = u[..., 3] @ BLOCK_PERMUTATION.T
+    u[..., 1] = u[..., 2] @ BLOCK_PERMUTATION.T
     return u
 
 
@@ -172,12 +181,16 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     evals, vecs = np.linalg.eigh(h)
     coeffs = vecs.conj().T @ initial.amplitudes
 
-    # one exact product per time; a single (D x D) @ (D x T) matmul would
-    # reorder the sums and move the written 12-digit outputs
+    # every time's phase weights in one (T, D) array, exp and weighting in
+    # place; then one exact product per time: a single (D x D) @ (D x T)
+    # matmul would reorder the sums and move the written 12-digit outputs
     times = np.asarray(times, dtype=float)
-    amps = np.empty((len(times), len(coeffs)), dtype=complex)
-    for i, t in enumerate(times):
-        amps[i] = vecs @ (np.exp(-1j * evals * t) * coeffs)
+    weights = (-1j * evals) * times[:, None]
+    np.exp(weights, out=weights)
+    weights *= coeffs
+    amps = np.empty_like(weights)
+    for i, w in enumerate(weights):
+        amps[i] = vecs @ w
     return EvolutionResult(times, amps, initial.shape)
 
 

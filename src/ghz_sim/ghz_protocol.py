@@ -235,8 +235,7 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         col = labels.index(initial_label)
         idx = [shape.index(*lbl) for lbl in labels]
         amps = np.zeros((len(times), shape.total_dim), dtype=complex)
-        for i, t in enumerate(times):
-            amps[i, idx] = block_propagator(schedule.block, float(t))[:, col]
+        amps[:, idx] = block_propagator(schedule.block, times)[:, :, col]
         return EvolutionResult(times, amps, shape)
 
     if model == "ld_full":
@@ -294,11 +293,16 @@ def protocol_timeseries(params: SystemParams, initial_label: Label, model: str,
     return ProtocolSeries(shape, *series)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: page size x physical pages."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def require_memory(shape: HilbertShape, model: str, n_times: int):
     """Refuse, before anything is allocated, a run whose largest dense array
     exceeds physical memory: the (n_times, D) complex trajectory of every
     model, or the D x D complex Hamiltonian of ld, rwa and lab."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = _physical_memory()
     dim = shape.total_dim
     need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
     if model != "block_analytic" and 16 * dim * dim > need:
@@ -387,10 +391,16 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
 
     Each point re-derives its schedule (retuning the coupling by default, so
     e.g. a phi sweep with tuning compensates the effective coupling g cos phi).
+    Only the lab-frame model has a time step, so only it takes the ``dt``
+    axis.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: "
                          f"{', '.join(SWEEP_AXES)}")
+    if axis == "dt" and model != "lab_frame":
+        raise ConfigurationError(
+            f"sweep axis dt steps only the lab_frame model; model {model} "
+            f"has no time step, so every point would be the same run")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")

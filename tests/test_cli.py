@@ -6,7 +6,7 @@ import pytest
 
 from ghz_sim import checks
 from ghz_sim.checks import CHECK_NAMES
-from ghz_sim.cli import fmt, main, read_table
+from ghz_sim.cli import MODEL_ALIASES, fmt, main, read_table, write_table
 from ghz_sim.evolution import block_propagator
 from ghz_sim import ghz_protocol
 from ghz_sim.fock_core import ION_LABELS, HilbertShape
@@ -372,6 +372,33 @@ class TestExitCodes:
         assert f"bad range {values!r}" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("values, count", [
+        ("0:1e300:1e-300", "its inf points"),
+        ("0:1e12:1", "1,000,000,000,001 points need")])
+    def test_range_point_count_beyond_memory_exits_two(self, tmp_path,
+                                                       capsys, values, count):
+        # refused before the list of values is built
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "eta_c", values, "--model", "block",
+                     "--shape", "2x2", "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"bad range {values!r}" in err and count in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("model", ["block", "ld", "rwa"])
+    def test_dt_sweep_of_a_static_model_exits_two(self, tmp_path, capsys,
+                                                  model):
+        # dt steps only the lab model: the rows would be one run relabelled
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "dt", "0.0001,0.0002", "--model", model,
+                     "--shape", "6x6", "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "sweep axis dt" in err
+        assert f"model {MODEL_ALIASES[model]}" in err
+        assert not out_file.exists()
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))
@@ -468,3 +495,19 @@ def test_fmt_is_twelve_significant_digits_lowercase():
     assert fmt(math.pi) == "3.14159265359e+00"
     assert fmt(0.0) == "0.00000000000e+00"
     assert "E" not in fmt(1.23e-45)
+
+
+def test_write_table_bytes_equal_the_per_value_format(tmp_path):
+    row = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+           1.7976931348623157e308, 1 / 3]
+    columns = [f"c{i}" for i in range(len(row))]
+    csv_f, json_f = tmp_path / "t.csv", tmp_path / "t.json"
+    write_table(str(csv_f), columns, [row, row[::-1]], "csv")
+    write_table(str(json_f), columns, [row, row[::-1]], "json")
+    lines = [",".join(fmt(v) for v in r) for r in (row, row[::-1])]
+    assert csv_f.read_bytes() == (",".join(columns) + "\n"
+                                  + "\n".join(lines) + "\n").encode()
+    payload = {"columns": columns,
+               "rows": [[float(fmt(v)) for v in r] for r in (row, row[::-1])]}
+    assert json_f.read_bytes() == (json.dumps(payload, indent=1)
+                                   + "\n").encode()

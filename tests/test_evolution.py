@@ -12,6 +12,7 @@ from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep,
                                to_interaction_picture)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, kron3, pauli_ops
+from ghz_sim.ghz_protocol import ghz_schedule
 from ghz_sim.hamiltonian import (BlockParams, SystemParams,
                                  build_block_hamiltonian,
                                  build_ld_hamiltonian, lab_hamiltonian_source,
@@ -113,6 +114,74 @@ class TestBlockPropagator:
         assert np.allclose(out, parts / math.sqrt(5), atol=1e-14)
 
 
+def block_propagator_per_time(block: BlockParams, t: float) -> np.ndarray:
+    """Reference: the per-time closed form the array form must reproduce
+    bit for bit."""
+    if t < 0:
+        raise ValueError("propagation time must be >= 0")
+    a, mu, omega = block.a, block.mu, block.Omega
+    sa, ca = np.sin(a * t), np.cos(a * t)
+    sm, cm = np.sin(mu * t), np.cos(mu * t)
+    ratio_a = a / mu if mu > 0 else 0.0
+    ratio_o = omega / mu if mu > 0 else 0.0
+
+    u = np.zeros((4, 4), dtype=complex)
+    # initial |g,m-1,n-1>
+    u[2, 2] = ratio_a * sa * sm + ca * cm
+    u[3, 2] = -1j * ratio_o * ca * sm
+    u[0, 2] = -ratio_o * sa * sm
+    u[1, 2] = 1j * (ratio_a * ca * sm - sa * cm)
+    # initial |e,m-1,n-1>
+    u[3, 3] = ca * cm - ratio_a * sa * sm
+    u[2, 3] = -1j * ratio_o * ca * sm
+    u[1, 3] = -ratio_o * sa * sm
+    u[0, 3] = -1j * (ratio_a * ca * sm + sa * cm)
+    # initial |g,m,n> and |e,m,n>: permutation images of columns 3 and 2
+    u[:, 0] = BLOCK_PERMUTATION @ u[:, 3]
+    u[:, 1] = BLOCK_PERMUTATION @ u[:, 2]
+    return u
+
+
+class TestBlockPropagatorArray:
+    """The array form equals the per-time closed form at every time."""
+
+    @staticmethod
+    def assert_rows_equal(block, times):
+        stack = block_propagator(block, times)
+        assert stack.shape == (len(times), 4, 4)
+        for t, u in zip(times, stack):
+            assert np.array_equal(u,
+                                  block_propagator_per_time(block, float(t)))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pulse_grid(self, p):
+        params = scaled_params(Omega=8.95e6, eta_c=0.05)
+        schedule = ghz_schedule(params, p=p, tune=True)
+        self.assert_rows_equal(schedule.block,
+                               np.linspace(0.0, schedule.t_p, 101))
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            block = make_block(rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+            self.assert_rows_equal(block, np.sort(rng.uniform(0.0, 50.0, 64)))
+
+    def test_mu_zero_block(self):
+        block = make_block(0.0, 0.0)
+        assert block.mu == 0.0
+        self.assert_rows_equal(block, np.linspace(0.0, 3.0, 7))
+
+    def test_scalar_time_gives_one_matrix(self):
+        block = make_block(1.1, 0.4)
+        assert np.array_equal(block_propagator(block, 2.3),
+                              block_propagator_per_time(block, 2.3))
+
+    def test_one_negative_time_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            block_propagator(make_block(1.0, 0.3),
+                             np.array([0.0, 0.5, -1e-12, 1.0]))
+
+
 class TestEvolveStatic:
     def test_zero_hamiltonian_constant_state(self):
         shape = HilbertShape(2, 2)
@@ -208,6 +277,13 @@ class TestEvolutionResult:
                if m == shape.vib_dim - 1 or n == shape.cav_dim - 1]
         expected = [np.sum((np.abs(row) ** 2)[top]) for row in amps]
         assert np.array_equal(result.truncation_leak, expected)
+
+    def test_norms_match_linalg_norm_exactly(self):
+        shape = HilbertShape(6, 6)
+        amps = random_rows(shape, 30, seed=9)
+        result = EvolutionResult(np.arange(30.0), amps, shape)
+        assert np.array_equal(result.norms,
+                              [np.linalg.norm(row) for row in amps])
 
     def test_amplitudes_read_only_and_final_state(self):
         shape = HilbertShape(2, 3)
