@@ -8,15 +8,14 @@ per truncation, the final fidelity, the leaked population, and the worst
 top-level population seen along the pulse (the truncation diagnostic)."""
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
 from ghz_sim.evolution import evolve_static
 from ghz_sim.fock_core import HilbertShape, basis_state
 from ghz_sim.ghz_protocol import fidelity, ghz_schedule, target_state
-from ghz_sim.hamiltonian import (SystemParams, build_ld_hamiltonian,
-                                 build_rwa_hamiltonian)
+from ghz_sim.hamiltonian import (SystemParams, block_basis_labels,
+                                 build_ld_hamiltonian, build_rwa_hamiltonian)
 
 OMEGA = 8.95e6
 NU = 20.0 * OMEGA
@@ -29,17 +28,15 @@ def study_point(eta_c: float, dim: int, model: str):
                           omega_L=OMEGA_0)
     shape = HilbertShape(dim, dim)
     schedule = ghz_schedule(params, shape=shape, tune=True)
-    run_params = replace(params, g=schedule.tuned_g)
 
     build = build_rwa_hamiltonian if model == "rwa" else build_ld_hamiltonian
-    h = build(run_params, shape)
+    h = build(schedule.params, shape)
     psi0 = basis_state(shape, "g", 0, 0)
     times = np.linspace(0.0, schedule.t_p, 101)
     result = evolve_static(h, psi0, times)
 
     tgt = target_state(("g", 0, 0), shape)
-    block_idx = [shape.index(*lbl) for lbl in
-                 (("g", 1, 1), ("e", 1, 1), ("g", 0, 0), ("e", 0, 0))]
+    block_idx = [shape.index(*lbl) for lbl in block_basis_labels(1, 1)]
     pops = np.abs(result.amplitudes[-1]) ** 2
     leak = 1.0 - sum(pops[i] for i in block_idx)
     worst_top = result.truncation_leak.max()

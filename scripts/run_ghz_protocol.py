@@ -36,15 +36,14 @@ def main(argv=None):
     schedule = ghz_schedule(params, p=args.p, shape=shape, tune=True)
 
     print(f"pulse p={args.p}: t_p = {schedule.t_p * 1e6:.6f} us, "
-          f"tuned g = {schedule.tuned_g / 1e6:.4f} MHz, "
-          f"a t_p = {schedule.a_t_product:.12f}")
+          f"tuned g = {schedule.params.g / 1e6:.4f} MHz, "
+          f"a t_p = {schedule.block.a * schedule.t_p:.12f}")
     print(f"{'initial':>8} {'model':>15} {'fidelity':>14} {'leakage':>12}")
     for initial in INITIAL_STATES:
         for model in ("block_analytic", "ld_full"):
             label = ",".join(str(v) for v in initial)
             try:
-                rep = run_protocol(params, initial, model, schedule,
-                                   shape=shape)
+                rep = run_protocol(schedule, initial, model)
             except TruncationError as exc:
                 print(f"{label:>8} {model:>15} {'truncated':>14} ({exc})")
                 continue

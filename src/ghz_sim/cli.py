@@ -63,6 +63,8 @@ DEFAULT_CONFIG = {
 MODEL_ALIASES = {"block": "block_analytic", "ld": "ld_full",
                  "rwa": "rwa_full", "lab": "lab_frame"}
 
+FORMATS = ("csv", "json")
+
 
 def fmt(x: float) -> str:
     """Fixed float formatting: 12 significant digits, lowercase scientific."""
@@ -147,8 +149,7 @@ def resolve_model(name: str) -> str:
 
 def write_table(path: str, columns: list[str], rows: list[list[float]],
                 file_format: str):
-    if file_format not in ("csv", "json"):
-        raise ConfigurationError(f"unknown output format {file_format!r}")
+    """Write ``rows`` under ``columns`` as CSV, or as JSON for "json"."""
     # one %-format per row writes the same bytes as joining fmt of each value
     row_format = ",".join(["%.11e"] * len(columns))
     lines = [row_format % tuple(row) for row in rows]
@@ -227,6 +228,9 @@ def _run_config(args):
         "model": args.model, "shape": args.shape, "p": args.p,
         "format": args.format, "output": args.output,
     })
+    if config["format"] not in FORMATS:
+        raise ConfigurationError(f"unknown output format {config['format']!r}; "
+                                 f"choose from {list(FORMATS)}")
     params, tune = build_params(config)
     for key in ("p", "m", "n", "n_times"):
         config[key] = whole_number(key, config[key])
@@ -241,12 +245,11 @@ def cmd_ghz(args) -> int:
                             p=config["p"], shape=shape, tune=tune)
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
-        schedule = replace(schedule, t_p=explicit_t,
-                           a_t_product=schedule.block.a * explicit_t)
+        schedule = replace(schedule, t_p=explicit_t)
 
     times = pulse_times(schedule.t_p, config["n_times"])
-    series = protocol_timeseries(params, initial, model, schedule, times,
-                                 shape=shape, dt=config_time(config, "dt"))
+    series = protocol_timeseries(schedule, initial, model, times,
+                                 dt=config_time(config, "dt"))
 
     columns, rows = series_table(series)
     write_table(config["output"], columns, rows, config["format"])
@@ -254,7 +257,7 @@ def cmd_ghz(args) -> int:
     final = series.final
     print(f"ghz model={model} initial={config['initial']} p={schedule.p} "
           f"t_p={fmt(schedule.t_p / US)} us "
-          f"tuned_g={fmt(schedule.tuned_g / MHZ)} MHz "
+          f"tuned_g={fmt(schedule.params.g / MHZ)} MHz "
           f"fidelity={fmt(final.fidelity)} block_leakage={fmt(final.block_leakage)} "
           f"output={config['output']}")
     return 0
@@ -307,17 +310,18 @@ def cmd_sweep(args) -> int:
                    n_times=config["n_times"])
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
-    outer = HilbertShape(vib_dim=max(pt.shape.vib_dim for pt in points),
-                         cav_dim=max(pt.shape.cav_dim for pt in points))
+    shapes = [pt.schedule.shape for pt in points]
+    outer = HilbertShape(vib_dim=max(sh.vib_dim for sh in shapes),
+                         cav_dim=max(sh.cav_dim for sh in shapes))
     grid = np.zeros((len(points), outer.ion_dim, outer.vib_dim, outer.cav_dim))
-    for cube, pt in zip(grid, points):
-        sh = pt.shape
+    for cube, pt, sh in zip(grid, points, shapes):
         cube[:, :sh.vib_dim, :sh.cav_dim] = pt.report.populations.reshape(
             sh.ion_dim, sh.vib_dim, sh.cav_dim)
     names, pops = population_columns(outer, grid.reshape(len(points), -1))
     columns = [args.axis, "t_p_us", "tuned_g_MHz",
                "fidelity", "norm", "block_leakage"] + names
-    rows = np.column_stack([[[pt.value, pt.t_p / US, pt.tuned_g / MHZ,
+    rows = np.column_stack([[[pt.value, pt.schedule.t_p / US,
+                              pt.schedule.params.g / MHZ,
                               pt.report.fidelity, pt.report.norm,
                               pt.report.block_leakage] for pt in points],
                             pops]).tolist()
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--output", help="output file path")
-    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--format", choices=FORMATS)
     common.add_argument("--model", help="block | ld | rwa | lab")
     common.add_argument("--shape", help="truncation, e.g. 6x6 (vib x cav)")
     common.add_argument("--p", type=int, help="pulse index p >= 1")

@@ -57,15 +57,15 @@ def parse_label(text: str) -> Label:
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """One pulse of the protocol: index p, time t_p = p pi / mu, the tuned
-    coupling and the target state the pulse should produce."""
+    """One pulse of the protocol and the whole definition of a run: the
+    params it runs with (coupling tuned), the truncation, the (m, n) block,
+    the index p and the time t_p = p pi / mu."""
 
+    params: SystemParams
+    shape: HilbertShape
+    block: BlockParams
     p: int
     t_p: float
-    a_t_product: float
-    tuned_g: float
-    block: BlockParams
-    target: QuantumState
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,14 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
 
     With ``tune`` the coupling is replaced so that the effective coupling
     g cos(phi) satisfies the condition a t_p = pi / 4; otherwise the params
-    must already satisfy mu / a = 4 p (relative tolerance 1e-9).
+    must already satisfy mu / a = 4 p (relative tolerance 1e-9). The shape
+    defaults to the smallest one that holds the block, (m + 1) x (n + 1).
     """
+    for key, level in (("m", m), ("n", n)):
+        if level < 1:
+            raise ConfigurationError(
+                f"{key} must be >= 1 (the block pairs levels {key} - 1 and "
+                f"{key}), got {level!r}")
     if shape is None:
         shape = HilbertShape(vib_dim=m + 1, cav_dim=n + 1)
     if tune:
@@ -172,10 +178,8 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
         raise ConfigurationError(
             f"params are not tuned for a GHZ pulse with p={p}: mu/a = {ratio!r}, "
             f"required {4 * p}; retry with tune=True or adjust g")
-    t_p = p * math.pi / block.mu
-    target = target_state(("g", m - 1, n - 1), shape, m=m, n=n, p=p)
-    return ProtocolSchedule(p=p, t_p=t_p, a_t_product=block.a * t_p,
-                            tuned_g=params.g, block=block, target=target)
+    return ProtocolSchedule(params=params, shape=shape, block=block, p=p,
+                            t_p=p * math.pi / block.mu)
 
 
 def _default_lab_dt(source, period: float | None, t_end: float) -> float:
@@ -221,12 +225,12 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
         params)
 
 
-def _evolve_states(params: SystemParams, initial_label: Label, model: str,
-                   schedule: ProtocolSchedule, shape: HilbertShape,
-                   times: np.ndarray, dt: float | None) -> EvolutionResult:
+def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
+                   model: str, times: np.ndarray,
+                   dt: float | None) -> EvolutionResult:
     """Evolve the initial basis state to each requested time under the model;
     full-space runs pass the truncation guard first."""
-    run_params = replace(params, g=schedule.tuned_g)
+    params, shape = schedule.params, schedule.shape
     initial = basis_state(shape, *initial_label)
 
     if model == "block_analytic":
@@ -239,13 +243,13 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
         return EvolutionResult(times, amps, shape)
 
     if model == "ld_full":
-        result = evolve_static(build_ld_hamiltonian(run_params, shape),
+        result = evolve_static(build_ld_hamiltonian(params, shape),
                                initial, times)
     elif model == "rwa_full":
-        result = evolve_static(build_rwa_hamiltonian(run_params, shape),
+        result = evolve_static(build_rwa_hamiltonian(params, shape),
                                initial, times)
     elif model == "lab_frame":
-        result = evolve_lab(run_params, initial, times, dt)
+        result = evolve_lab(params, initial, times, dt)
     else:
         raise ValueError(
             f"unknown model {model!r}, expected one of {MODEL_TAGS}")
@@ -258,20 +262,17 @@ def _evolve_states(params: SystemParams, initial_label: Label, model: str,
     return result
 
 
-def protocol_timeseries(params: SystemParams, initial_label: Label, model: str,
-                        schedule: ProtocolSchedule, times: Sequence[float],
-                        shape: HilbertShape | None = None,
+def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
+                        model: str, times: Sequence[float],
                         dt: float | None = None) -> ProtocolSeries:
     """Run the protocol and score the state at every requested time: per
     time |<target|psi>|^2, the norm, the population outside the 4-state block
     (0 for the block model) and the floored basis populations."""
-    if shape is None:
-        shape = schedule.target.shape
+    shape = schedule.shape
     times = np.asarray(times, dtype=float)
     target = target_state(initial_label, shape, m=schedule.block.m,
                           n=schedule.block.n, p=schedule.p).amplitudes
-    result = _evolve_states(params, initial_label, model, schedule, shape,
-                            times, dt)
+    result = _evolve_states(schedule, initial_label, model, times, dt)
     # squared in place: the same x * x as ** 2 without a second (T, D)
     # temporary, so an op's heap peak stays that of the per-state code
     pops = np.abs(result.amplitudes)
@@ -321,8 +322,7 @@ def pulse_times(t_p: float, n_times: int) -> np.ndarray:
     return np.linspace(0.0, t_p, n_times)
 
 
-def run_protocol(params: SystemParams, initial_label: Label, model: str,
-                 schedule: ProtocolSchedule, shape: HilbertShape | None = None,
+def run_protocol(schedule: ProtocolSchedule, initial_label: Label, model: str,
                  dt: float | None = None, n_times: int = 101) -> FidelityReport:
     """Evolve the initial state to t_p under the chosen model and score it.
 
@@ -330,8 +330,8 @@ def run_protocol(params: SystemParams, initial_label: Label, model: str,
     sees the whole trajectory; the report scores the final sample.
     """
     times = pulse_times(schedule.t_p, n_times)
-    return protocol_timeseries(params, initial_label, model, schedule, times,
-                               shape=shape, dt=dt).final
+    return protocol_timeseries(schedule, initial_label, model, times,
+                               dt=dt).final
 
 
 SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
@@ -353,33 +353,30 @@ def whole_number(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    axis: str
+    """One sweep point: the axis value, the schedule it ran and its score."""
+
     value: float
-    t_p: float
-    tuned_g: float
-    shape: HilbertShape
+    schedule: ProtocolSchedule
     report: FidelityReport
 
 
 def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
-               model: str, shape: HilbertShape, m: int, n: int, p: int,
+               model: str, shape: HilbertShape | None, m: int, n: int, p: int,
                dt: float | None, tune: bool, n_times: int) -> SweepPoint:
     if axis in ("eta_c", "eta_L", "phi"):
         params = replace(params, **{axis: float(value)})
     elif axis == "p":
         p = value
-    elif axis == "vib_dim":
-        shape = HilbertShape(vib_dim=value, cav_dim=shape.cav_dim)
-    elif axis == "cav_dim":
-        shape = HilbertShape(vib_dim=shape.vib_dim, cav_dim=value)
     elif axis == "dt":
         dt = float(value)
-    require_memory(shape, model, n_times)
     schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
-    report = run_protocol(params, initial_label, model, schedule, shape=shape,
-                          dt=dt, n_times=n_times)
-    return SweepPoint(axis=axis, value=float(value), t_p=schedule.t_p,
-                      tuned_g=schedule.tuned_g, shape=shape, report=report)
+    if axis in ("vib_dim", "cav_dim"):
+        schedule = replace(schedule,
+                           shape=replace(schedule.shape, **{axis: value}))
+    require_memory(schedule.shape, model, n_times)
+    report = run_protocol(schedule, initial_label, model, dt=dt,
+                          n_times=n_times)
+    return SweepPoint(value=float(value), schedule=schedule, report=report)
 
 
 def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Label,
@@ -390,9 +387,9 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
     sampled on ``n_times`` points of its own pulse (see :func:`run_protocol`).
 
     Each point re-derives its schedule (retuning the coupling by default, so
-    e.g. a phi sweep with tuning compensates the effective coupling g cos phi).
-    Only the lab-frame model has a time step, so only it takes the ``dt``
-    axis.
+    e.g. a phi sweep with tuning compensates the effective coupling g cos phi)
+    on ``shape``, by default that of :func:`ghz_schedule`. Only the lab-frame
+    model has a time step, so only it takes the ``dt`` axis.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: "
@@ -406,8 +403,6 @@ def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Labe
         raise ValueError("sweep needs at least one value")
     if axis in INTEGER_AXES:
         values = [whole_number(f"{axis} value", v) for v in values]
-    if shape is None:
-        shape = HilbertShape(vib_dim=max(m + 1, 2), cav_dim=max(n + 1, 2))
     return [_sweep_one(params, axis, value, initial_label, model, shape,
                        m, n, p, dt, tune, n_times)
             for value in values]

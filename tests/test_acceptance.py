@@ -149,8 +149,7 @@ def test_criterion_07_full_model_truncation_convergence():
     for dim in (6, 8):
         shape = HilbertShape(dim, dim)
         schedule = ghz_schedule(params, shape=shape)
-        rep = run_protocol(params, ("g", 0, 0), "ld_full", schedule,
-                           shape=shape)
+        rep = run_protocol(schedule, ("g", 0, 0), "ld_full")
         fids.append(rep.fidelity)
         leaks.append(rep.block_leakage)
         norms.append(rep.norm)
@@ -189,12 +188,10 @@ def test_criterion_09_node_offset_compensation():
         sched_phi = ghz_schedule(params_phi, shape=shape)
         sched_flat = ghz_schedule(params_flat, shape=shape)
         times = np.linspace(0.0, sched_flat.t_p, 40)
-        series_phi = protocol_timeseries(params_phi, ("g", 0, 0),
-                                         "block_analytic", sched_phi, times,
-                                         shape=shape)
-        series_flat = protocol_timeseries(params_flat, ("g", 0, 0),
-                                          "block_analytic", sched_flat, times,
-                                          shape=shape)
+        series_phi = protocol_timeseries(sched_phi, ("g", 0, 0),
+                                         "block_analytic", times)
+        series_flat = protocol_timeseries(sched_flat, ("g", 0, 0),
+                                          "block_analytic", times)
         worst = max(worst, float(np.max(np.abs(series_phi.fidelity
                                                - series_flat.fidelity))))
     ok = worst < 1e-6

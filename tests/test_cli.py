@@ -294,6 +294,38 @@ class TestExitCodes:
         assert "dt must be a finite number > 0" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", [("ghz",), ("sweep", "eta_c", "0.05")])
+    @pytest.mark.parametrize("key, raw", [("m", 0), ("n", 0), ("m", -1)])
+    def test_block_level_below_one_exits_two(self, tmp_path, capsys, command,
+                                             key, raw):
+        # refused before the coupling is tuned, which divides by sqrt(m n)
+        cfg = tmp_path / "block.json"
+        cfg.write_text(json.dumps({key: raw}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*command, "--config", str(cfg), "--output",
+                     str(out_file))
+        assert rc == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command, model", [
+        (("ghz",), "lab"), (("sweep", "eta_c", "0.04,0.05"), "rwa")])
+    def test_unknown_config_format_exits_two_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command, model):
+        # --format is checked by argparse; the config key once, up front
+        def engine(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(ghz_protocol, "_evolve_states", engine)
+        cfg = tmp_path / "xml.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        out_file = tmp_path / "x.xml"
+        rc = run_cli(*command, "--model", model, "--config", str(cfg),
+                     "--output", str(out_file))
+        assert rc == 2
+        assert "unknown output format 'xml'" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_sweep_config_t_exits_two(self, tmp_path, capsys):
         # every sweep point runs its own scheduled pulse; an explicit t
         # would be dropped without a word
@@ -448,8 +480,8 @@ class TestSweepCommand:
         for vib in (6, 5):
             shape = HilbertShape(vib, 6)
             reports[vib] = (shape, run_protocol(
-                params, ("g", 0, 0), "ld_full",
-                ghz_schedule(params, shape=shape, tune=True), shape=shape))
+                ghz_schedule(params, shape=shape, tune=True), ("g", 0, 0),
+                "ld_full"))
         union = sorted({lbl for shape, rep in reports.values()
                         for lbl in shape.labels()
                         if rep.populations[shape.index(*lbl)] > 0.0},

@@ -65,7 +65,8 @@ class TestGhzSchedule:
         schedule = ghz_schedule(scaled_params(), shape=HilbertShape(2, 2))
         assert schedule.t_p == pytest.approx(T1_SECONDS, rel=1e-12)
         assert schedule.t_p * 1e6 == pytest.approx(0.34, rel=0.01)
-        assert schedule.a_t_product == pytest.approx(math.pi / 4.0, rel=1e-12)
+        assert schedule.block.a * schedule.t_p == pytest.approx(math.pi / 4.0,
+                                                                rel=1e-12)
         assert schedule.block.mu * schedule.t_p == pytest.approx(math.pi,
                                                                  rel=1e-12)
 
@@ -83,7 +84,8 @@ class TestGhzSchedule:
         shape = HilbertShape(2, 2)
         params = scaled_params(g=tune_coupling(8.95e6, 0.05, 2))
         schedule = ghz_schedule(params, p=2, shape=shape)
-        amp = schedule.target.amplitudes[shape.index("g", 0, 0)]
+        target = target_state(("g", 0, 0), schedule.shape, p=schedule.p)
+        amp = target.amplitudes[shape.index("g", 0, 0)]
         assert amp == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
         assert schedule.t_p > ghz_schedule(scaled_params(),
                                            shape=shape).t_p
@@ -96,19 +98,26 @@ class TestGhzSchedule:
     def test_tune_flag_fixes_untuned_params(self):
         params = scaled_params(g=1e6)
         schedule = ghz_schedule(params, shape=HilbertShape(2, 2), tune=True)
-        assert schedule.tuned_g == pytest.approx(TUNED_G, abs=0)
+        assert schedule.params.g == pytest.approx(TUNED_G, abs=0)
 
     def test_tuning_with_phi_compensates_effective_coupling(self):
         phi = math.pi / 3
         schedule = ghz_schedule(scaled_params(g=0.0, phi=phi),
                                 shape=HilbertShape(2, 2), tune=True)
-        assert schedule.tuned_g * math.cos(phi) == pytest.approx(TUNED_G,
-                                                                 rel=1e-12)
+        assert schedule.params.g * math.cos(phi) == pytest.approx(TUNED_G,
+                                                                  rel=1e-12)
 
     def test_tuning_impossible_at_node_null(self):
         with pytest.raises(ConfigurationError, match="phi"):
             ghz_schedule(scaled_params(g=0.0, phi=math.pi / 2),
                          shape=HilbertShape(2, 2), tune=True)
+
+    def test_schedule_holds_the_whole_run(self):
+        params = scaled_params(g=1e6, phi=0.4)
+        schedule = ghz_schedule(params, m=2, n=3, tune=True)
+        assert schedule.shape == HilbertShape(3, 4)
+        assert schedule.params == replace(params, g=schedule.params.g)
+        assert schedule.block == BlockParams.from_params(schedule.params, 2, 3)
 
     @settings(deadline=None, max_examples=20)
     @given(p=st.integers(1, 12))
@@ -117,7 +126,7 @@ class TestGhzSchedule:
         schedule = ghz_schedule(params, p=p, shape=HilbertShape(2, 2))
         assert abs(schedule.block.mu * schedule.t_p - p * math.pi) \
             < 1e-12 * p * math.pi
-        assert abs(schedule.a_t_product - math.pi / 4.0) < 1e-12
+        assert abs(schedule.block.a * schedule.t_p - math.pi / 4.0) < 1e-12
 
 
 class TestTargetState:
@@ -194,8 +203,7 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         for initial in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):
-            report = run_protocol(params, initial, "block_analytic", schedule,
-                                  shape=shape)
+            report = run_protocol(schedule, initial, "block_analytic")
             assert report.fidelity == pytest.approx(1.0, abs=1e-10)
             assert report.block_leakage == 0.0
             assert report.norm == pytest.approx(1.0, abs=1e-12)
@@ -204,8 +212,7 @@ class TestRunProtocol:
         shape = HilbertShape(6, 6)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
-        report = run_protocol(params, ("g", 0, 0), "ld_full", schedule,
-                              shape=shape)
+        report = run_protocol(schedule, ("g", 0, 0), "ld_full")
         assert report.fidelity < 1.0
         assert report.block_leakage > 0.0
         assert report.norm == pytest.approx(1.0, abs=1e-9)
@@ -221,11 +228,10 @@ class TestRunProtocol:
         shape = HilbertShape(3, 3)
         block = BlockParams.from_params(params, 1, 1)
         t = math.pi / (2.0 * omega)
-        schedule = ProtocolSchedule(p=1, t_p=t, a_t_product=0.0, tuned_g=0.0,
-                                    block=block,
-                                    target=target_state(("g", 0, 0), shape))
-        series = protocol_timeseries(params, ("g", 0, 0), "ld_full", schedule,
-                                     [0.0, t], shape=shape)
+        schedule = ProtocolSchedule(params=params, shape=shape, block=block,
+                                    p=1, t_p=t)
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                     [0.0, t])
         final = series.final
         assert np.flatnonzero(final.populations).tolist() == \
             [shape.index("e", 0, 0)]
@@ -243,22 +249,21 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(TruncationError, match="5x5"):
-            run_protocol(params, ("g", 0, 0), "ld_full", schedule, shape=shape)
+            run_protocol(schedule, ("g", 0, 0), "ld_full")
 
     def test_block_model_rejects_states_outside_block(self):
         shape = HilbertShape(4, 4)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="block"):
-            run_protocol(params, ("g", 2, 2), "block_analytic", schedule,
-                         shape=shape)
+            run_protocol(schedule, ("g", 2, 2), "block_analytic")
 
     def test_unknown_model_rejected(self):
         shape = HilbertShape(2, 2)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="model"):
-            run_protocol(params, ("g", 0, 0), "nope", schedule, shape=shape)
+            run_protocol(schedule, ("g", 0, 0), "nope")
 
     def test_short_time_lab_run_agrees_with_rwa(self):
         params = scaled_params(Omega=1.0)
@@ -266,10 +271,8 @@ class TestRunProtocol:
         schedule = ghz_schedule(params, shape=shape)
         t_short = schedule.t_p / 50.0
         times = [0.0, t_short]
-        lab = protocol_timeseries(params, ("g", 0, 0), "lab_frame", schedule,
-                                  times, shape=shape)
-        rwa = protocol_timeseries(params, ("g", 0, 0), "rwa_full", schedule,
-                                  times, shape=shape)
+        lab = protocol_timeseries(schedule, ("g", 0, 0), "lab_frame", times)
+        rwa = protocol_timeseries(schedule, ("g", 0, 0), "rwa_full", times)
         assert lab.fidelity[-1] == pytest.approx(rwa.fidelity[-1], abs=5e-3)
         assert lab.norm[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -289,8 +292,7 @@ class TestRunProtocol:
 
         engine = ghz_protocol.evolve_timedep
         monkeypatch.setattr(ghz_protocol, "evolve_timedep", spy)
-        protocol_timeseries(params, ("g", 0, 0), "lab_frame", schedule,
-                            [0.0, 1e-3], shape=shape)
+        protocol_timeseries(schedule, ("g", 0, 0), "lab_frame", [0.0, 1e-3])
         assert [kw["period"] for kw in seen] == \
             [math.pi / omega_L if omega_L else None]
         assert "omega_max" not in seen[0]
@@ -305,8 +307,7 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ConfigurationError, match="n_times must be >= 2"):
-            run_protocol(params, ("g", 0, 0), model, schedule, shape=shape,
-                         n_times=n_times)
+            run_protocol(schedule, ("g", 0, 0), model, n_times=n_times)
 
     @pytest.mark.parametrize("times", [[0.0, 1e-7, 1e-7], [0.0, 2e-7, 1e-7]])
     def test_block_model_rejects_non_increasing_times(self, times):
@@ -314,8 +315,8 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="strictly increasing"):
-            protocol_timeseries(params, ("g", 0, 0), "block_analytic",
-                                schedule, times, shape=shape)
+            protocol_timeseries(schedule, ("g", 0, 0), "block_analytic",
+                                times)
 
     def test_target_marginals_maximally_mixed(self):
         shape = HilbertShape(2, 2)
@@ -342,10 +343,9 @@ class TestLaserFrame:
         # 0.02 t_p: 38 laser periods, 77 periods of the laser frame
         times = np.linspace(0.0, 0.02 * schedule.t_p, 11)
         initial = ("g", 0, 0)
-        run = replace(params, g=schedule.tuned_g)
+        run = schedule.params
         production = evolve_lab(run, basis_state(shape, *initial), times)
-        series = protocol_timeseries(params, initial, "lab_frame", schedule,
-                                     times, shape=shape)
+        series = protocol_timeseries(schedule, initial, "lab_frame", times)
 
         plain = evolve_timedep(lab_hamiltonian_source(run, shape),
                                basis_state(shape, *initial), times[-1],
@@ -376,8 +376,8 @@ class TestSweep:
         assert max(fids) - min(fids) < 1e-6
         assert [pt.value for pt in points] == [0.0, math.pi / 6, math.pi / 3]
         # compensation scales g up by 1/cos(phi)
-        assert points[2].tuned_g == pytest.approx(points[0].tuned_g * 2.0,
-                                                  rel=1e-12)
+        assert points[2].schedule.params.g == pytest.approx(
+            points[0].schedule.params.g * 2.0, rel=1e-12)
 
     def test_phi_sweep_hits_node_null(self):
         params = scaled_params(g=0.0)
@@ -413,8 +413,7 @@ class TestSweep:
         points = sweep(params, "eta_c", [0.05], ("g", 0, 0), "ld_full",
                        shape=shape)
         schedule = ghz_schedule(params, shape=shape, tune=True)
-        direct = run_protocol(params, ("g", 0, 0), "ld_full", schedule,
-                              shape=shape)
+        direct = run_protocol(schedule, ("g", 0, 0), "ld_full")
         assert points[0].report.fidelity == direct.fidelity
         assert np.array_equal(points[0].report.populations,
                               direct.populations)
@@ -428,13 +427,18 @@ class TestSweep:
             sweep(scaled_params(), "coupling", [1.0], ("g", 0, 0),
                   "block_analytic")
 
+    def test_default_shape_is_the_schedule_default(self):
+        points = sweep(scaled_params(), "cav_dim", [5], ("g", 1, 0),
+                       "block_analytic", m=2)
+        assert points[0].schedule.shape == HilbertShape(3, 5)
+
     def test_sweep_preserves_order(self):
         params = scaled_params(g=0.0)
         values = [1, 2, 3, 4]
         points = sweep(params, "p", values, ("g", 0, 0), "block_analytic",
                        shape=HilbertShape(2, 2))
         assert [pt.value for pt in points] == values
-        t_ps = [pt.t_p for pt in points]
+        t_ps = [pt.schedule.t_p for pt in points]
         assert all(a < b for a, b in zip(t_ps, t_ps[1:]))
 
 
@@ -444,8 +448,8 @@ def test_timeseries_starts_at_half_fidelity_for_ghz_target():
     params = scaled_params()
     shape = HilbertShape(2, 2)
     schedule = ghz_schedule(params, shape=shape)
-    series = protocol_timeseries(params, ("g", 0, 0), "block_analytic",
-                                 schedule, [0.0, schedule.t_p], shape=shape)
+    series = protocol_timeseries(schedule, ("g", 0, 0), "block_analytic",
+                                 [0.0, schedule.t_p])
     assert series.fidelity[0] == pytest.approx(0.5, abs=1e-12)
     assert series.fidelity[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -488,10 +492,9 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
         t_end /= 1000.0
     times = np.linspace(0.0, t_end, 5 if model == "lab_frame" else 101)
     initial = ("e", 0, 0)
-    series = protocol_timeseries(params, initial, model, schedule, times,
-                                 shape=shape)
-    amps = ghz_protocol._evolve_states(params, initial, model, schedule,
-                                       shape, times, None).amplitudes
+    series = protocol_timeseries(schedule, initial, model, times)
+    amps = ghz_protocol._evolve_states(schedule, initial, model, times,
+                                       None).amplitudes
     fid, norm, leak, pops = per_row_scores(
         amps, target_state(initial, shape).amplitudes,
         [shape.index(*lbl) for lbl in block_basis_labels(1, 1)])
