@@ -19,15 +19,17 @@ import json
 import math
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import checks as checks_mod
-from .errors import AccuracyError, ConfigurationError, TruncationError
+from .errors import (AccuracyError, ConfigurationError, TruncationError,
+                     UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
-from .ghz_protocol import (_physical_memory, ghz_schedule, parse_label,
-                           protocol_timeseries, pulse_times, require_memory,
-                           sweep, whole_number)
+from .ghz_protocol import (Label, ProtocolSchedule, _physical_memory,
+                           ghz_schedule, parse_label, protocol_timeseries,
+                           pulse_times, require_memory)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -222,8 +224,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _run_config(args):
-    """Config, params, tune flag, shape, model and initial label of a run."""
+def _run_config(args) -> dict:
+    """The loaded config of a ghz or sweep command, flags applied."""
     config = load_config(args.config, {
         "model": args.model, "shape": args.shape, "p": args.p,
         "format": args.format, "output": args.output,
@@ -231,31 +233,67 @@ def _run_config(args):
     if config["format"] not in FORMATS:
         raise ConfigurationError(f"unknown output format {config['format']!r}; "
                                  f"choose from {list(FORMATS)}")
+    return config
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int when it is a whole number (1, 2.0, "3"); otherwise
+    a ConfigurationError that names ``name``, never a silent truncation."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ConfigurationError(
+            f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
+class Run(NamedTuple):
+    """One checked pulse, its fields the arguments of protocol_timeseries
+    in order: ``protocol_timeseries(*run)`` evolves and scores it."""
+
+    schedule: ProtocolSchedule
+    initial: Label
+    model: str
+    times: np.ndarray
+    dt: float | None
+
+
+def resolve_run(config: dict) -> Run:
+    """Check a loaded config and turn it into one run, allocating nothing
+    large and evolving nothing; a null g tunes the coupling, a number is
+    held as given."""
     params, tune = build_params(config)
-    for key in ("p", "m", "n", "n_times"):
-        config[key] = whole_number(key, config[key])
-    return (config, params, tune, parse_shape(config["shape"]),
-            resolve_model(config["model"]), parse_label(config["initial"]))
-
-
-def cmd_ghz(args) -> int:
-    config, params, tune, shape, model, initial = _run_config(args)
-    require_memory(shape, model, config["n_times"])
-    schedule = ghz_schedule(params, m=config["m"], n=config["n"],
-                            p=config["p"], shape=shape, tune=tune)
+    p, m, n, n_times = (whole_number(key, config[key])
+                        for key in ("p", "m", "n", "n_times"))
+    shape = parse_shape(config["shape"])
+    model = resolve_model(config["model"])
+    initial = parse_label(config["initial"])
+    require_memory(shape, model, n_times)
+    try:
+        schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
+    except UntunedError as exc:
+        raise ConfigurationError(
+            f"{exc.condition}; the config key g = {config['g']!r} is held as "
+            f"given (a null g is tuned)") from None
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
+    return Run(schedule, initial, model, pulse_times(schedule.t_p, n_times),
+               config_time(config, "dt"))
 
-    times = pulse_times(schedule.t_p, config["n_times"])
-    series = protocol_timeseries(schedule, initial, model, times,
-                                 dt=config_time(config, "dt"))
+
+def cmd_ghz(args) -> int:
+    config = _run_config(args)
+    run = resolve_run(config)
+    series = protocol_timeseries(*run)
 
     columns, rows = series_table(series)
     write_table(config["output"], columns, rows, config["format"])
 
-    final = series.final
-    print(f"ghz model={model} initial={config['initial']} p={schedule.p} "
+    final, schedule = series.final, run.schedule
+    print(f"ghz model={run.model} initial={config['initial']} p={schedule.p} "
           f"t_p={fmt(schedule.t_p / US)} us "
           f"tuned_g={fmt(schedule.params.g / MHZ)} MHz "
           f"fidelity={fmt(final.fidelity)} block_leakage={fmt(final.block_leakage)} "
@@ -286,47 +324,69 @@ def parse_values(text: str) -> list[float]:
                 f"bad range {text!r}: its {count:,.0f} points need at least "
                 f"{32 * count:,.0f} bytes, more than the {physical:,} bytes "
                 f"of physical memory")
-        return [start + i * step for i in range(max(int(count), 0))]
-    values = [float(v) for v in text.split(",") if v.strip()]
+        values = [start + i * step for i in range(max(int(count), 0))]
+    else:
+        values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ConfigurationError(f"no values in {text!r}")
     return values
 
 
+SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
+
+
 def cmd_sweep(args) -> int:
-    config, params, tune, shape, model, initial = _run_config(args)
+    """One ghz run per axis value, on the config with that key (for vib_dim
+    and cav_dim, that side of shape) replaced. Every point is resolved
+    before the first one runs; a row is the final row of its run."""
+    config, axis = _run_config(args), args.axis
     if config["t"] is not None:
         raise ConfigurationError(
             f"sweep does not take the config key t (got {config['t']!r}): "
             f"every sweep point runs its own scheduled pulse time")
+    if axis not in SWEEP_AXES:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}; valid axes: "
+                                 f"{', '.join(SWEEP_AXES)}")
     values = parse_values(args.values)
-    if args.axis == "dt":
-        # each step value passes the rule and unit scale of the config dt
-        values = [config_time({**config, "dt": v}, "dt") for v in values]
+    if axis in ("p", "vib_dim", "cav_dim"):
+        values = [whole_number(f"{axis} value", v) for v in values]
 
-    points = sweep(params, args.axis, values, initial, model, shape=shape,
-                   m=config["m"], n=config["n"], p=config["p"],
-                   dt=config_time(config, "dt"), tune=not args.no_tune,
-                   n_times=config["n_times"])
+    def point(value) -> dict:
+        if axis in ("vib_dim", "cav_dim"):
+            shape = replace(parse_shape(config["shape"]), **{axis: value})
+            return {**config, "shape": f"{shape.vib_dim}x{shape.cav_dim}"}
+        return {**config, axis: value}
+
+    runs = [resolve_run(point(value)) for value in values]
+    if axis == "dt":
+        if runs[0].model != "lab_frame":
+            raise ConfigurationError(
+                f"sweep axis dt steps only the lab_frame model; model "
+                f"{runs[0].model} has no time step, so every point would be "
+                f"the same run")
+        values = [run.dt / US for run in runs]
+    reports = [protocol_timeseries(*run).final for run in runs]
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
-    shapes = [pt.schedule.shape for pt in points]
+    shapes = [run.schedule.shape for run in runs]
     outer = HilbertShape(vib_dim=max(sh.vib_dim for sh in shapes),
                          cav_dim=max(sh.cav_dim for sh in shapes))
-    grid = np.zeros((len(points), outer.ion_dim, outer.vib_dim, outer.cav_dim))
-    for cube, pt, sh in zip(grid, points, shapes):
-        cube[:, :sh.vib_dim, :sh.cav_dim] = pt.report.populations.reshape(
+    grid = np.zeros((len(runs), outer.ion_dim, outer.vib_dim, outer.cav_dim))
+    for cube, report, sh in zip(grid, reports, shapes):
+        cube[:, :sh.vib_dim, :sh.cav_dim] = report.populations.reshape(
             sh.ion_dim, sh.vib_dim, sh.cav_dim)
-    names, pops = population_columns(outer, grid.reshape(len(points), -1))
-    columns = [args.axis, "t_p_us", "tuned_g_MHz",
+    names, pops = population_columns(outer, grid.reshape(len(runs), -1))
+    columns = [axis, "t_p_us", "tuned_g_MHz",
                "fidelity", "norm", "block_leakage"] + names
-    rows = np.column_stack([[[pt.value, pt.schedule.t_p / US,
-                              pt.schedule.params.g / MHZ,
-                              pt.report.fidelity, pt.report.norm,
-                              pt.report.block_leakage] for pt in points],
+    rows = np.column_stack([[[value, run.schedule.t_p / US,
+                              run.schedule.params.g / MHZ,
+                              report.fidelity, report.norm,
+                              report.block_leakage]
+                             for value, run, report in zip(values, runs,
+                                                           reports)],
                             pops]).tolist()
     write_table(config["output"], columns, rows, config["format"])
-    print(f"sweep axis={args.axis} points={len(points)} model={model} "
+    print(f"sweep axis={axis} points={len(runs)} model={runs[0].model} "
           f"output={config['output']}")
     return 0
 
@@ -359,14 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run one GHZ pulse and write the time series")
     p_ghz.set_defaults(handler=cmd_ghz)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="run the protocol across one parameter axis")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common],
+        help="one ghz pulse per value of one config key, one row each; a "
+             "null g is tuned at every point, a number is held")
     p_sweep.add_argument("axis", help="one of eta_c, eta_L, phi, p, vib_dim, "
-                                      "cav_dim, dt (lab model only)")
+                                      "cav_dim (one side of shape), dt (lab "
+                                      "model only, written in us)")
     p_sweep.add_argument("values", help="comma list '0.02,0.05' or range "
                                         "'0:1.5:0.25'")
-    p_sweep.add_argument("--no-tune", action="store_true",
-                         help="keep g fixed instead of retuning per point")
     p_sweep.set_defaults(handler=cmd_sweep)
     return parser
 

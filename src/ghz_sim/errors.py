@@ -15,6 +15,16 @@ class ConfigurationError(GhzSimError, ValueError):
     untuned protocol parameters, malformed run config)."""
 
 
+class UntunedError(ConfigurationError):
+    """Params held as given (not tuned) that miss the GHZ condition
+    mu / a = 4 p. ``condition`` states the miss without a remedy, so a
+    front end can name its own."""
+
+    def __init__(self, condition: str):
+        super().__init__(f"{condition}; retry with tune=True or adjust g")
+        self.condition = condition
+
+
 class ModelError(GhzSimError, ValueError):
     """A model object violates its contract, e.g. a non-Hermitian Hamiltonian
     handed to an evolution engine."""

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, TruncationError
+from .errors import ConfigurationError, TruncationError, UntunedError
 from .evolution import (EvolutionResult, block_propagator, evolve_static,
                         evolve_timedep, to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
@@ -175,9 +175,8 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
     block = BlockParams.from_params(params, m, n)
     ratio = block.mu / block.a if block.a != 0.0 else math.inf
     if abs(ratio - 4.0 * p) > TUNING_RTOL * 4.0 * p:
-        raise ConfigurationError(
-            f"params are not tuned for a GHZ pulse with p={p}: mu/a = {ratio!r}, "
-            f"required {4 * p}; retry with tune=True or adjust g")
+        raise UntunedError(f"params are not tuned for a GHZ pulse with "
+                           f"p={p}: mu/a = {ratio!r}, required {4 * p}")
     return ProtocolSchedule(params=params, shape=shape, block=block, p=p,
                             t_p=p * math.pi / block.mu)
 
@@ -333,76 +332,3 @@ def run_protocol(schedule: ProtocolSchedule, initial_label: Label, model: str,
     return protocol_timeseries(schedule, initial_label, model, times,
                                dt=dt).final
 
-
-SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
-INTEGER_AXES = ("p", "vib_dim", "cav_dim")
-
-
-def whole_number(name: str, value) -> int:
-    """``value`` as an int when it is a whole number (1, 2.0, "3"); otherwise
-    a ConfigurationError that names ``name``, never a silent truncation."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not number.is_integer():
-        raise ConfigurationError(
-            f"{name} must be a whole number, got {value!r}")
-    return int(number)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep point: the axis value, the schedule it ran and its score."""
-
-    value: float
-    schedule: ProtocolSchedule
-    report: FidelityReport
-
-
-def _sweep_one(params: SystemParams, axis: str, value, initial_label: Label,
-               model: str, shape: HilbertShape | None, m: int, n: int, p: int,
-               dt: float | None, tune: bool, n_times: int) -> SweepPoint:
-    if axis in ("eta_c", "eta_L", "phi"):
-        params = replace(params, **{axis: float(value)})
-    elif axis == "p":
-        p = value
-    elif axis == "dt":
-        dt = float(value)
-    schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
-    if axis in ("vib_dim", "cav_dim"):
-        schedule = replace(schedule,
-                           shape=replace(schedule.shape, **{axis: value}))
-    require_memory(schedule.shape, model, n_times)
-    report = run_protocol(schedule, initial_label, model, dt=dt,
-                          n_times=n_times)
-    return SweepPoint(value=float(value), schedule=schedule, report=report)
-
-
-def sweep(params: SystemParams, axis: str, values: Sequence, initial_label: Label,
-          model: str, shape: HilbertShape | None = None, m: int = 1, n: int = 1,
-          p: int = 1, dt: float | None = None, tune: bool = True,
-          n_times: int = 101) -> list[SweepPoint]:
-    """One protocol run per axis value, in the order of ``values``, each
-    sampled on ``n_times`` points of its own pulse (see :func:`run_protocol`).
-
-    Each point re-derives its schedule (retuning the coupling by default, so
-    e.g. a phi sweep with tuning compensates the effective coupling g cos phi)
-    on ``shape``, by default that of :func:`ghz_schedule`. Only the lab-frame
-    model has a time step, so only it takes the ``dt`` axis.
-    """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; valid axes: "
-                         f"{', '.join(SWEEP_AXES)}")
-    if axis == "dt" and model != "lab_frame":
-        raise ConfigurationError(
-            f"sweep axis dt steps only the lab_frame model; model {model} "
-            f"has no time step, so every point would be the same run")
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    if axis in INTEGER_AXES:
-        values = [whole_number(f"{axis} value", v) for v in values]
-    return [_sweep_one(params, axis, value, initial_label, model, shape,
-                       m, n, p, dt, tune, n_times)
-            for value in values]

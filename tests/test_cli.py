@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ghz_sim import checks
+from ghz_sim import checks, cli
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import MODEL_ALIASES, fmt, main, read_table, write_table
 from ghz_sim.evolution import block_propagator
@@ -445,10 +445,15 @@ class TestSweepCommand:
         assert run_cli("sweep", "phi", "0:1.5:0.25", "--model", "block",
                        "--shape", "2x2", "--output", str(out_file)) == 0
         columns, rows = read_table(str(out_file))
-        assert [r[columns.index("phi")] for r in rows] == \
-            [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+        phis = [r[columns.index("phi")] for r in rows]
+        assert phis == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
         fids = [r[columns.index("fidelity")] for r in rows]
         assert max(fids) - min(fids) < 1e-6
+        # compensation scales the tuned g up by 1/cos(phi)
+        g0 = rows[0][columns.index("tuned_g_MHz")]
+        for phi, row in zip(phis, rows):
+            assert row[columns.index("tuned_g_MHz")] == \
+                pytest.approx(g0 / math.cos(phi), rel=1e-11)
 
     def test_p_sweep_time_strictly_increasing(self, tmp_path):
         out_file = tmp_path / "p.csv"
@@ -458,14 +463,85 @@ class TestSweepCommand:
         t_ps = [r[columns.index("t_p_us")] for r in rows]
         assert all(a < b for a, b in zip(t_ps, t_ps[1:]))
 
+    def test_sweep_preserves_order(self, tmp_path):
+        out_file = tmp_path / "p.csv"
+        assert run_cli("sweep", "p", "3,1,4,2", "--model", "block",
+                       "--shape", "2x2", "--output", str(out_file)) == 0
+        columns, rows = read_table(str(out_file))
+        assert [r[columns.index("p")] for r in rows] == [3, 1, 4, 2]
+        # the tuned pulse meets a t_p = pi / 4 with g ~ 1 / sqrt(16 p^2 - 1)
+        t_1 = rows[1][columns.index("t_p_us")] / math.sqrt(15)
+        assert [r[columns.index("t_p_us")] for r in rows] == pytest.approx(
+            [t_1 * math.sqrt(16 * p * p - 1) for p in (3, 1, 4, 2)],
+            rel=1e-11)
+
     def test_eta_c_sweep_under_rwa(self, tmp_path):
+        # the higher-order dressing weakens the out-of-block chain couplings,
+        # so the retuned fidelity drifts monotonically (upward) with eta_c
         out_file = tmp_path / "eta.json"
         assert run_cli("sweep", "eta_c", "0.02,0.05,0.1", "--model", "rwa",
                        "--shape", "6x6", "--format", "json",
                        "--output", str(out_file)) == 0
         columns, rows = read_table(str(out_file))
         fids = [r[columns.index("fidelity")] for r in rows]
-        assert fids[0] < fids[1] < fids[2]
+        assert fids[0] < fids[1] < fids[2] < 1.0
+
+    def test_vib_dim_truncation_convergence(self, tmp_path):
+        out_file = tmp_path / "vib.csv"
+        assert run_cli("sweep", "vib_dim", "6,8", "--model", "ld",
+                       "--shape", "6x8", "--output", str(out_file)) == 0
+        columns, rows = read_table(str(out_file))
+        fids = [r[columns.index("fidelity")] for r in rows]
+        assert abs(fids[0] - fids[1]) < 1e-6
+
+    def test_vib_dim_too_small_exits_one(self, tmp_path, capsys):
+        out_file = tmp_path / "vib.csv"
+        assert run_cli("sweep", "vib_dim", "4", "--model", "ld",
+                       "--shape", "6x6", "--output", str(out_file)) == 1
+        assert "top-level population" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_empty_range_exits_two(self, tmp_path, capsys):
+        out_file = tmp_path / "x.csv"
+        assert run_cli("sweep", "eta_c", "0.1:0.05:0.01", "--model", "block",
+                       "--shape", "2x2", "--output", str(out_file)) == 2
+        assert "no values in '0.1:0.05:0.01'" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("model", ["block", "ld", "rwa"])
+    @pytest.mark.parametrize("axis, values, flags", [
+        ("eta_c", (0.04, 0.07), lambda v: ("--config", {"eta_c": v})),
+        ("p", (1, 3), lambda v: ("--p", str(v))),
+        ("vib_dim", (6, 7), lambda v: ("--shape", f"{v}x6"))])
+    def test_sweep_row_is_the_final_row_of_ghz(self, tmp_path, capsys, model,
+                                               axis, values, flags):
+        # a sweep point is the ghz run of its config: every written field of
+        # its row is the text ghz writes in the last row of that run
+        sweep_file = tmp_path / "sweep.csv"
+        assert run_cli("sweep", axis, ",".join(map(str, values)), "--model",
+                       model, "--shape", "6x6", "--output",
+                       str(sweep_file)) == 0
+        header, *lines = sweep_file.read_text().splitlines()
+        zero = fmt(0.0)
+        for value, line in zip(values, lines):
+            row = dict(zip(header.split(","), line.split(",")))
+            argv = ["ghz", "--model", model, "--shape", "6x6"]
+            flag, arg = flags(value)
+            if flag == "--config":
+                cfg = tmp_path / "point.json"
+                cfg.write_text(json.dumps(arg))
+                arg = str(cfg)
+            ghz_file = tmp_path / "ghz.csv"
+            capsys.readouterr()
+            assert run_cli(*argv, flag, arg, "--output", str(ghz_file)) == 0
+            tuned_g = summary_field(capsys.readouterr().out, "tuned_g")
+            ghz_header, *ghz_lines = ghz_file.read_text().splitlines()
+            final = dict(zip(ghz_header.split(","), ghz_lines[-1].split(",")))
+            assert row.pop(axis) == fmt(value)
+            assert row.pop("t_p_us") == final.pop("t_us")
+            assert row.pop("tuned_g_MHz") == tuned_g
+            for name in set(row) | set(final):
+                assert row.get(name, zero) == final.get(name, zero), name
 
     def test_population_columns_over_shapes_in_index_order(self, tmp_path):
         # points of a vib_dim sweep have different shapes; every label
@@ -502,14 +578,81 @@ class TestSweepCommand:
             seen.append(n_times)
             return sample(t_p, n_times)
 
-        sample = ghz_protocol.pulse_times
-        monkeypatch.setattr(ghz_protocol, "pulse_times", spy)
+        sample = cli.pulse_times
+        monkeypatch.setattr(cli, "pulse_times", spy)
         cfg = tmp_path / "few.json"
         cfg.write_text(json.dumps({"n_times": 7}))
         assert run_cli("sweep", "eta_c", "0.04,0.05", "--model", "ld",
                        "--shape", "6x6", "--config", str(cfg),
                        "--output", str(tmp_path / "x.csv")) == 0
         assert seen == [7, 7]
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("phi", "0,1.5707963267948966", "--model", "block"), {},
+         "vanishes at phi"),
+        (("vib_dim", "6,100000000", "--model", "ld"), {}, "physical memory"),
+        (("eta_c", "0.05,0.1", "--model", "ld"), {"g": 46.21760126474184},
+         "config key g")])
+    def test_every_point_is_resolved_before_the_first_runs(
+            self, tmp_path, capsys, monkeypatch, argv, config, message):
+        def spy(*args, **kwargs):
+            raise AssertionError("a point was evolved")
+
+        monkeypatch.setattr(cli, "protocol_timeseries", spy)
+        monkeypatch.setattr(ghz_protocol, "protocol_timeseries", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", *argv, "--shape", "6x6", "--config", str(cfg),
+                     "--output", str(out_file))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", [("ghz",), ("sweep", "phi", "0,0.3")])
+    def test_held_g_is_named_as_the_config_key(self, tmp_path, capsys,
+                                               command):
+        # a number in g is held at every point; the CLI has no tune=True
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"g": 500}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*command, "--model", "block", "--shape", "2x2",
+                     "--config", str(cfg), "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "not tuned" in err and "config key g = 500" in err
+        assert "null g is tuned" in err and "tune=True" not in err
+        assert not out_file.exists()
+
+    def test_held_g_that_meets_the_condition_is_written(self, tmp_path):
+        # 5e-10 above the tuned 46.2176012647 MHz: inside the 1e-9 tuning
+        # tolerance, and apart from it in the 12 written digits
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"g": 46.2176012878}))
+        out_file = tmp_path / "x.csv"
+        assert run_cli("sweep", "eta_c", "0.05", "--model", "block",
+                       "--shape", "2x2", "--config", str(cfg),
+                       "--output", str(out_file)) == 0
+        columns, rows = read_table(str(out_file))
+        assert fmt(rows[0][columns.index("tuned_g_MHz")]) == \
+            "4.62176012878e+01"
+
+    @pytest.mark.parametrize("units, dt", [("mhz", 0.0001), ("si", 1e-10)])
+    def test_dt_column_is_in_us(self, tmp_path, units, dt):
+        # the reduced lab hierarchy nu = 5 Omega, omega_0 = omega_L = 5 nu
+        scale = 1.0 if units == "mhz" else 1e6
+        hierarchy = {"Omega": 8.95, "nu": 44.75, "omega_0": 223.75,
+                     "omega_L": 223.75, "omega_c": 179.0}
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps({"units": units, **{
+            key: value * scale for key, value in hierarchy.items()}}))
+        out_file = tmp_path / "dt.csv"
+        assert run_cli("sweep", "dt", str(dt), "--model", "lab", "--shape",
+                       "6x6", "--config", str(cfg),
+                       "--output", str(out_file)) == 0
+        header, line = out_file.read_text().splitlines()
+        assert header.startswith("dt,t_p_us,")
+        assert line.startswith("1.00000000000e-04,3.39869721450e-01,")
 
     def test_sweep_output_reparses(self, tmp_path):
         csv_f = tmp_path / "s.csv"
