@@ -22,7 +22,8 @@ from .evolution import (BLOCK_PERMUTATION, block_propagator, evolve_static,
                         evolve_timedep)
 from .fock_core import HilbertShape, basis_state, partial_trace
 from .ghz_protocol import ghz_schedule, target_state, tune_coupling
-from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
+from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
+                          block_matrix, build_block_hamiltonian,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian)
 
@@ -35,12 +36,12 @@ class CheckResult:
     passed: bool
     measured: float
     threshold: float
-    detail: str = ""
+    detail: str
 
 
 def _scaled_params(Omega: float = 8.95e6, eta_c: float = 0.05,
-                   eta_L: float = 0.05, g: float | None = None,
-                   phi: float = 0.0) -> SystemParams:
+                   eta_L: float = 0.05,
+                   g: float | None = None) -> SystemParams:
     """Resonant parameter set with the scaled hierarchy omega_0 = 200 nu,
     nu = 20 Omega used throughout the quick checks."""
     nu = 20.0 * Omega
@@ -48,8 +49,14 @@ def _scaled_params(Omega: float = 8.95e6, eta_c: float = 0.05,
     if g is None:
         g = tune_coupling(Omega, eta_c, 1)
     return SystemParams(Omega=Omega, g=g, eta_L=eta_L, eta_c=eta_c, nu=nu,
-                        omega_0=omega_0, omega_c=omega_0 - nu, omega_L=omega_0,
-                        phi=phi)
+                        omega_0=omega_0, omega_c=omega_0 - nu, omega_L=omega_0)
+
+
+def _random_block(rng: np.random.Generator) -> BlockParams:
+    """A (1, 1) block with Omega then a drawn uniformly from rng."""
+    omega = rng.uniform(0.5, 2.0)
+    a = rng.uniform(0.05, 1.0)
+    return BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
 
 
 def _expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -111,13 +118,8 @@ def check_block_schrodinger_residual() -> CheckResult:
     rng = np.random.default_rng(CHECK_SEED)
     worst = 0.0
     for _ in range(20):
-        omega = rng.uniform(0.5, 2.0)
-        a = rng.uniform(0.05, 1.0)
-        block = BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 1] = h[1, 0] = omega
-        h[2, 3] = h[3, 2] = omega
-        h[0, 3] = h[3, 0] = a
+        block = _random_block(rng)
+        h = block_matrix(block)
         t = rng.uniform(0.1, 3.0) / block.mu
         psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 /= np.linalg.norm(psi0)
@@ -138,13 +140,8 @@ def check_block_vs_expm() -> CheckResult:
     rng = np.random.default_rng(CHECK_SEED + 1)
     worst = 0.0
     for _ in range(5):
-        omega = rng.uniform(0.5, 2.0)
-        a = rng.uniform(0.05, 1.0)
-        block = BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 1] = h[1, 0] = omega
-        h[2, 3] = h[3, 2] = omega
-        h[0, 3] = h[3, 0] = a
+        block = _random_block(rng)
+        h = block_matrix(block)
         for t in np.linspace(0.0, 2.0 * math.pi / block.mu, 20):
             dev = np.max(np.abs(block_propagator(block, t) - _expm_unitary(h, t)))
             worst = max(worst, float(dev))
@@ -158,16 +155,13 @@ def check_states_table() -> CheckResult:
     params = _scaled_params()
     shape = HilbertShape(2, 2)
     schedule = ghz_schedule(params, shape=shape)
-    labels = (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1))
-    block_order = (("g", 1, 1), ("e", 1, 1), ("g", 0, 0), ("e", 0, 0))
+    labels = block_basis_labels(1, 1)
+    idx = [shape.index(*lbl) for lbl in labels]
+    u = block_propagator(schedule.block, schedule.t_p)
     worst = 0.0
-    for lbl in labels:
-        start = np.zeros(4, dtype=complex)
-        start[block_order.index(lbl)] = 1.0
-        final = block_propagator(schedule.block, schedule.t_p) @ start
+    for col, lbl in enumerate(labels):
         amps = np.zeros(shape.total_dim, dtype=complex)
-        for k, blk_lbl in enumerate(block_order):
-            amps[shape.index(*blk_lbl)] = final[k]
+        amps[idx] = u[:, col]
         tgt = target_state(lbl, shape).amplitudes
         worst = max(worst, float(np.max(np.abs(amps - tgt))))
     return CheckResult("states_table", worst < 1e-10, worst, 1e-10,
@@ -177,7 +171,7 @@ def check_states_table() -> CheckResult:
 def check_ghz_marginals() -> CheckResult:
     shape = HilbertShape(2, 2)
     worst = 0.0
-    for lbl in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):
+    for lbl in block_basis_labels(1, 1):
         tgt = target_state(lbl, shape)
         for slot in ("ion", "vib", "cav"):
             eigs = np.sort(np.linalg.eigvalsh(partial_trace(tgt, {slot})))[::-1]
@@ -196,8 +190,7 @@ def check_block_structure() -> CheckResult:
     for m in (1, 2):
         for n in (1, 2):
             h_block, _ = build_block_hamiltonian(params, m, n)
-            idx = [shape.index("g", m, n), shape.index("e", m, n),
-                   shape.index("g", m - 1, n - 1), shape.index("e", m - 1, n - 1)]
+            idx = [shape.index(*lbl) for lbl in block_basis_labels(m, n)]
             worst = max(worst, float(np.max(np.abs(h_ld[np.ix_(idx, idx)] - h_block))))
     h_rwa = build_rwa_hamiltonian(params, shape)
     for s1, m1, n1 in shape.labels():
@@ -255,9 +248,7 @@ def check_propagator_composition() -> CheckResult:
     rng = np.random.default_rng(CHECK_SEED + 2)
     worst = 0.0
     for _ in range(10):
-        omega = rng.uniform(0.5, 2.0)
-        a = rng.uniform(0.05, 1.0)
-        block = BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
+        block = _random_block(rng)
         t, s = rng.uniform(0.1, 3.0, size=2)
         dev = np.max(np.abs(block_propagator(block, t) @ block_propagator(block, s)
                             - block_propagator(block, t + s)))
@@ -300,10 +291,6 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) in declaration order."""
-    selected = list(CHECK_NAMES) if names is None else list(names)
-    unknown = set(selected) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check(s): {sorted(unknown)}")
-    return [_CHECKS[name]() for name in selected]
+def run_checks() -> list[CheckResult]:
+    """Run every check in declaration order."""
+    return [check() for check in _CHECKS.values()]

@@ -27,9 +27,10 @@ from . import checks as checks_mod
 from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
+from .evolution import require_resolved_step
 from .ghz_protocol import (Label, ProtocolSchedule, _physical_memory,
-                           ghz_schedule, parse_label, protocol_timeseries,
-                           pulse_times, require_memory)
+                           ghz_schedule, lab_period, parse_label,
+                           protocol_timeseries, pulse_times, require_memory)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -165,14 +166,12 @@ def write_table(path: str, columns: list[str], rows: list[list[float]],
         fh.write(text)
 
 
-def read_table(path: str, file_format: str | None = None
-               ) -> tuple[list[str], list[list[float]]]:
-    """Re-parse a file written by :func:`write_table`."""
+def read_table(path: str) -> tuple[list[str], list[list[float]]]:
+    """Re-parse a file written by :func:`write_table`, JSON or CSV by its
+    first character."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if file_format is None:
-        file_format = "json" if text.lstrip().startswith("{") else "csv"
-    if file_format == "json":
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
         return list(payload["columns"]), [list(map(float, r))
                                           for r in payload["rows"]]
@@ -263,7 +262,7 @@ class Run(NamedTuple):
 def resolve_run(config: dict) -> Run:
     """Check a loaded config and turn it into one run, allocating nothing
     large and evolving nothing; a null g tunes the coupling, a number is
-    held as given."""
+    held as given, and a lab dt must resolve the period of H(t)."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -280,8 +279,11 @@ def resolve_run(config: dict) -> Run:
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
+    dt, period = config_time(config, "dt"), lab_period(params)
+    if model == "lab_frame" and dt is not None and period is not None:
+        require_resolved_step(dt, period)
     return Run(schedule, initial, model, pulse_times(schedule.t_p, n_times),
-               config_time(config, "dt"))
+               dt)
 
 
 def cmd_ghz(args) -> int:

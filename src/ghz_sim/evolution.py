@@ -159,9 +159,9 @@ def block_propagator(block: BlockParams,
     return u
 
 
-def require_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL):
+def require_hermitian(h: np.ndarray):
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if dev > atol:
+    if dev > HERMITICITY_ATOL:
         raise ModelError(f"Hamiltonian is not Hermitian: max |H - H†| = {dev:.3e}")
 
 
@@ -230,6 +230,17 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
     return psi, drift
 
 
+def require_resolved_step(dt: float, period: float):
+    """Refuse a step dt above the resolution guard T / 50 of a period T of
+    H(t), with a relative slack of 1e-12."""
+    dt_max = period / 50.0
+    if dt > dt_max * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt = {dt:.3e} violates the resolution guard "
+            f"dt <= T / 50 = {dt_max:.3e} (T = {period:.3e}, the period "
+            f"of H(t))")
+
+
 def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
                    t_end: float, dt: float,
                    store_times: Sequence[float] | None = None,
@@ -270,12 +281,7 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         if not (math.isfinite(period) and period > 0):
             raise ValueError(
                 f"period must be a finite number > 0, got {period!r}")
-        dt_max = period / 50.0
-        if dt > dt_max * (1 + 1e-12):
-            raise ConfigurationError(
-                f"dt = {dt:.3e} violates the resolution guard "
-                f"dt <= T / 50 = {dt_max:.3e} (T = {period:.3e}, the period "
-                f"of H(t))")
+        require_resolved_step(dt, period)
 
     if store_times is None:
         store_times = [0.0, t_end] if t_end > 0 else [0.0]

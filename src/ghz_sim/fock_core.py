@@ -21,7 +21,7 @@ truncation diagnostic (see :mod:`ghz_sim.evolution`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -47,11 +47,9 @@ class HilbertShape:
 
     vib_dim: int
     cav_dim: int
-    ion_dim: int = 2
+    ion_dim: ClassVar[int] = 2  # the two-level ion, not a setting
 
     def __post_init__(self):
-        if self.ion_dim != 2:
-            raise ValueError("ion_dim must be 2 (two-level ion)")
         if self.vib_dim < 1 or self.cav_dim < 1:
             raise ValueError("vib_dim and cav_dim must be >= 1")
 

@@ -57,9 +57,10 @@ def parse_label(text: str) -> Label:
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """One pulse of the protocol and the whole definition of a run: the
-    params it runs with (coupling tuned), the truncation, the (m, n) block,
-    the index p and the time t_p = p pi / mu."""
+    """The whole definition of one pulse: the params it runs with (coupling
+    tuned), the truncation, the (m, n) block, the index p and the time
+    t_p = p pi / mu. A run also needs the initial label, the model, the
+    sample times and the lab step dt (see ``cli.Run``)."""
 
     params: SystemParams
     shape: HilbertShape
@@ -123,16 +124,13 @@ def target_state(initial_label: Label, shape: HilbertShape, m: int = 1,
     with s' the flipped ion state. For m = n = 1, p = 1 this is the four-state
     table |g,0,0> -> -(1/sqrt2)(|g,0,0> - i|e,1,1>) and its companions.
     """
-    s, mm, nn = initial_label
-    flipped = "e" if s == "g" else "g"
-    if (mm, nn) == (m, n):
-        partner = (flipped, m - 1, n - 1)
-    elif (mm, nn) == (m - 1, n - 1):
-        partner = (flipped, m, n)
-    else:
+    labels = block_basis_labels(m, n)
+    if initial_label not in labels:
         raise ValueError(
             f"initial label {format_label(initial_label)} is not in the "
             f"(m={m}, n={n}) block")
+    # reversed, the block order pairs partners (BLOCK_PERMUTATION)
+    partner = labels[::-1][labels.index(initial_label)]
     sign = -1.0 if p % 2 else 1.0
     amps = np.zeros(shape.total_dim, dtype=complex)
     amps[shape.index(*initial_label)] = sign / math.sqrt(2.0)
@@ -197,6 +195,11 @@ def _default_lab_dt(source, period: float | None, t_end: float) -> float:
     return dt
 
 
+def lab_period(params: SystemParams) -> float | None:
+    """Period pi / omega_L of the laser-frame H(t); None (static) at 0."""
+    return math.pi / params.omega_L if params.omega_L > 0 else None
+
+
 def evolve_lab(params: SystemParams, initial: QuantumState,
                times: Sequence[float], dt: float | None = None
                ) -> EvolutionResult:
@@ -213,7 +216,7 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     (:func:`to_interaction_picture`) takes the result into the interaction
     picture. ``times`` must be strictly increasing and >= 0."""
     source = rotating_frame_source(params, initial.shape)
-    period = math.pi / params.omega_L if params.omega_L > 0 else None
+    period = lab_period(params)
     times = np.asarray(times, dtype=float)
     t_end = float(times[-1])
     if dt is None:

@@ -13,12 +13,14 @@ frequency an angular frequency in rad/s:
 * interaction picture after the rotating-wave approximation (carrier resonant,
   red sideband resonant): time independent, carrier dressed by the diagonal
   operator O_0 and sideband by eta_c a† O_1;
-* its Lamb-Dicke limit, keeping only the lowest order in eta_L and eta_c;
+* its Lamb-Dicke limit, the same with undressed operators O_0 = O_1 = 1;
 * the 4x4 block restriction to {|g,m,n>, |e,m,n>, |g,m-1,n-1>, |e,m-1,n-1>}.
 
 Operator functions (exp, sin) of the quadrature eta (a† + a) are evaluated by
-eigendecomposition of the Hermitian quadrature, which is exact within the
-truncated space; no Taylor truncation is involved.
+eigendecomposition of the truncated quadrature. That is not exact: f(P x P)
+differs from P f(x) P in the top two Fock levels, where at 6 levels the entry
+error of exp(i eta x) reaches 7.5e-3 at eta = 0.05 and 0.23 at eta = 0.3
+(2.6e-9 and 1.1e-4 below them); ROADMAP item 1 has the exact elements.
 
 Standing-wave offset: when the trap centre sits a phase phi away from the node,
 the lab-frame coupling keeps phi inside the sine, while every approximate model
@@ -80,15 +82,16 @@ class SystemParams:
         if self.eta_L < 0 or self.eta_c < 0:
             raise ValueError("Lamb-Dicke parameters must be >= 0")
 
-    def carrier_resonant(self, rtol: float = RESONANCE_RTOL) -> bool:
+    def carrier_resonant(self) -> bool:
         """Laser on the carrier: omega_L = omega_0."""
         scale = max(abs(self.omega_L), abs(self.omega_0), 1.0)
-        return abs(self.omega_L - self.omega_0) <= rtol * scale
+        return abs(self.omega_L - self.omega_0) <= RESONANCE_RTOL * scale
 
-    def red_sideband_resonant(self, rtol: float = RESONANCE_RTOL) -> bool:
+    def red_sideband_resonant(self) -> bool:
         """Cavity on the red sideband: omega_0 - omega_c = nu."""
         scale = max(abs(self.omega_0), abs(self.omega_c), abs(self.nu), 1.0)
-        return abs((self.omega_0 - self.omega_c) - self.nu) <= rtol * scale
+        return (abs((self.omega_0 - self.omega_c) - self.nu)
+                <= RESONANCE_RTOL * scale)
 
     def require_resonances(self):
         if not self.carrier_resonant():
@@ -262,6 +265,22 @@ def rotating_frame_source(params: SystemParams,
     return h_of_t
 
 
+def _dressed_hamiltonian(params: SystemParams, shape: HilbertShape,
+                         o0: np.ndarray, o1: np.ndarray) -> np.ndarray:
+    """Omega (sigma_+ + sigma_-) o0 + g_eff eta_c [sigma_+ (o1 a) b + h.c.]
+    for vibrational dressing operators o0, o1; requires the carrier and
+    red-sideband resonance conditions."""
+    params.require_resonances()
+    a_low, _ = ladder_ops(shape.vib_dim)
+    b_low, _ = ladder_ops(shape.cav_dim)
+    _, sigma_p, sigma_m = pauli_ops()
+    g_eff = effective_coupling(params.g, params.phi)
+    carrier = params.Omega * kron3(sigma_p + sigma_m, o0,
+                                   np.eye(shape.cav_dim, dtype=complex))
+    sideband_up = g_eff * params.eta_c * kron3(sigma_p, o1 @ a_low, b_low)
+    return carrier + sideband_up + sideband_up.conj().T
+
+
 def build_rwa_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarray:
     """Interaction-picture Hamiltonian after the rotating-wave approximation.
 
@@ -272,58 +291,41 @@ def build_rwa_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarr
     g_eff eta_c sqrt(m) <m-1|O_1|m-1> sqrt(n). Time independent; requires
     the carrier and red-sideband resonance conditions.
     """
-    params.require_resonances()
-    M, N = shape.vib_dim, shape.cav_dim
-    a_low, _ = ladder_ops(M)
-    b_low, _ = ladder_ops(N)
-    _, sigma_p, sigma_m = pauli_ops()
-    eye_c = np.eye(N, dtype=complex)
-
-    o0 = build_O_k(0, params.eta_L, M)
-    o1 = build_O_k(1, params.eta_c, M)
-    g_eff = effective_coupling(params.g, params.phi)
-
-    carrier = params.Omega * kron3(sigma_p + sigma_m, o0, eye_c)
-    sideband_up = g_eff * params.eta_c * kron3(sigma_p, o1 @ a_low, b_low)
-    return carrier + sideband_up + sideband_up.conj().T
+    M = shape.vib_dim
+    return _dressed_hamiltonian(params, shape, build_O_k(0, params.eta_L, M),
+                                build_O_k(1, params.eta_c, M))
 
 
 def build_ld_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarray:
-    """Lamb-Dicke limit of the RWA Hamiltonian (lowest order in eta_L, eta_c).
+    """Lamb-Dicke limit of the RWA Hamiltonian: the RWA with undressed
+    operators, O_0 = O_1 = 1 (what :func:`build_O_k` gives at eta = 0).
 
     H = Omega (sigma_+ + sigma_-) + g_eff eta_c (sigma_+ a b + sigma_- a† b†),
     equal to :func:`build_rwa_hamiltonian` up to O(eta^2) corrections.
     """
-    params.require_resonances()
-    M, N = shape.vib_dim, shape.cav_dim
-    a_low, a_up = ladder_ops(M)
-    b_low, b_up = ladder_ops(N)
-    _, sigma_p, sigma_m = pauli_ops()
-    eye_v = np.eye(M, dtype=complex)
-    eye_c = np.eye(N, dtype=complex)
-
-    g_eff = effective_coupling(params.g, params.phi)
-    return (
-        params.Omega * kron3(sigma_p + sigma_m, eye_v, eye_c)
-        + g_eff * params.eta_c * (kron3(sigma_p, a_low, b_low)
-                                  + kron3(sigma_m, a_up, b_up))
-    )
+    eye_v = np.eye(shape.vib_dim, dtype=complex)
+    return _dressed_hamiltonian(params, shape, eye_v, eye_v)
 
 
 def block_basis_labels(m: int, n: int) -> tuple[tuple[str, int, int], ...]:
-    """Concrete (s, m, n) labels of the 4-state block, in block basis order."""
+    """Concrete (s, m, n) labels of the 4-state block, in block basis order.
+    Reversed, the order pairs each state with its GHZ partner."""
     return (("g", m, n), ("e", m, n), ("g", m - 1, n - 1), ("e", m - 1, n - 1))
+
+
+def block_matrix(block: BlockParams) -> np.ndarray:
+    """4x4 Lamb-Dicke Hamiltonian of one block on (|g,m,n>, |e,m,n>,
+    |g,m-1,n-1>, |e,m-1,n-1>): carrier couplings Omega, sideband coupling a."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = h[1, 0] = block.Omega
+    h[2, 3] = h[3, 2] = block.Omega
+    h[0, 3] = h[3, 0] = block.a
+    return h
 
 
 def build_block_hamiltonian(params: SystemParams, m: int,
                             n: int) -> tuple[np.ndarray, BlockParams]:
-    """4x4 Lamb-Dicke Hamiltonian on (|g,m,n>, |e,m,n>, |g,m-1,n-1>,
-    |e,m-1,n-1>): carrier couplings Omega and sideband coupling
-    a = g_eff eta_c sqrt(mn), the restriction of :func:`build_ld_hamiltonian`.
-    """
+    """:func:`block_matrix` of the (m, n) block, a = g_eff eta_c sqrt(mn),
+    and its BlockParams: the restriction of :func:`build_ld_hamiltonian`."""
     block = BlockParams.from_params(params, m, n)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = params.Omega
-    h[2, 3] = h[3, 2] = params.Omega
-    h[0, 3] = h[3, 0] = block.a
-    return h, block
+    return block_matrix(block), block

@@ -21,6 +21,10 @@ from conftest import scaled_params
 # else in the validate suite passes
 KNOWN_RED_CHECKS = {"block_schrodinger_residual", "block_vs_expm"}
 
+# the reduced lab hierarchy nu = 5 Omega, omega_0 = omega_L = 5 nu (MHz)
+LAB_HIERARCHY = {"Omega": 8.95, "nu": 44.75, "omega_0": 223.75,
+                 "omega_L": 223.75, "omega_c": 179.0}
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -639,13 +643,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("units, dt", [("mhz", 0.0001), ("si", 1e-10)])
     def test_dt_column_is_in_us(self, tmp_path, units, dt):
-        # the reduced lab hierarchy nu = 5 Omega, omega_0 = omega_L = 5 nu
         scale = 1.0 if units == "mhz" else 1e6
-        hierarchy = {"Omega": 8.95, "nu": 44.75, "omega_0": 223.75,
-                     "omega_L": 223.75, "omega_c": 179.0}
         cfg = tmp_path / "lab.json"
         cfg.write_text(json.dumps({"units": units, **{
-            key: value * scale for key, value in hierarchy.items()}}))
+            key: value * scale for key, value in LAB_HIERARCHY.items()}}))
         out_file = tmp_path / "dt.csv"
         assert run_cli("sweep", "dt", str(dt), "--model", "lab", "--shape",
                        "6x6", "--config", str(cfg),
@@ -653,6 +654,29 @@ class TestSweepCommand:
         header, line = out_file.read_text().splitlines()
         assert header.startswith("dt,t_p_us,")
         assert line.startswith("1.00000000000e-04,3.39869721450e-01,")
+
+    def test_lab_dt_above_the_guard_is_refused_before_any_point_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # T / 50 = 2.8e-4 us on the lab hierarchy (T = pi / omega_L): the
+        # first point resolves the period, the second does not
+        calls = []
+
+        def spy(*run):
+            calls.append(run)
+            return evolve(*run)
+
+        evolve = cli.protocol_timeseries
+        monkeypatch.setattr(cli, "protocol_timeseries", spy)
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps(LAB_HIERARCHY))
+        out_file = tmp_path / "dt.csv"
+        rc = run_cli("sweep", "dt", "0.0001,0.001", "--model", "lab",
+                     "--shape", "6x6", "--config", str(cfg),
+                     "--output", str(out_file))
+        assert rc == 2
+        assert calls == []
+        assert "violates the resolution guard" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_sweep_output_reparses(self, tmp_path):
         csv_f = tmp_path / "s.csv"

@@ -23,7 +23,8 @@ class TestHilbertShape:
             HilbertShape(0, 3)
         with pytest.raises(ValueError):
             HilbertShape(3, 0)
-        with pytest.raises(ValueError):
+        # ion_dim is the class constant 2, not a setting
+        with pytest.raises(TypeError):
             HilbertShape(3, 3, ion_dim=3)
 
     def test_index_ordering_s_slowest_then_m_then_n(self):

@@ -15,7 +15,7 @@ from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule,
                                   evolve_lab, fidelity, ghz_schedule,
                                   protocol_timeseries, run_protocol,
                                   target_state, tune_coupling)
-from ghz_sim.evolution import evolve_timedep
+from ghz_sim.evolution import block_propagator, evolve_timedep
 from ghz_sim.hamiltonian import (BlockParams, block_basis_labels,
                                  lab_hamiltonian_source)
 
@@ -157,6 +157,22 @@ class TestTargetState:
             1 / math.sqrt(2), abs=0)
         assert tgt.amplitudes[shape.index("g", 3, 3)] == pytest.approx(
             -1j / math.sqrt(2), abs=0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_block_label_is_the_propagated_column(self, p):
+        # the tuned (2, 3) block: the closed form at t_p, embedded in the
+        # full space, lands on each label's target
+        shape = HilbertShape(4, 5)
+        schedule = ghz_schedule(scaled_params(), m=2, n=3, p=p, shape=shape,
+                                tune=True)
+        labels = block_basis_labels(2, 3)
+        idx = [shape.index(*lbl) for lbl in labels]
+        u = block_propagator(schedule.block, schedule.t_p)
+        for col, lbl in enumerate(labels):
+            amps = np.zeros(shape.total_dim, dtype=complex)
+            amps[idx] = u[:, col]
+            tgt = target_state(lbl, shape, m=2, n=3, p=p).amplitudes
+            assert np.max(np.abs(amps - tgt)) < 1e-10
 
     def test_label_outside_block_rejected(self):
         with pytest.raises(ValueError):

@@ -333,6 +333,22 @@ class TestLdHamiltonian:
         _, sp, sm = pauli_ops()
         assert np.array_equal(h, 1.7 * kron3(sp + sm, np.eye(3), np.eye(2)))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 6)])
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    def test_equals_the_explicit_formula(self, dims, phi):
+        # the undressed RWA is Omega (sigma_+ + sigma_-)
+        # + g cos(phi) eta_c (sigma_+ a b + sigma_- a† b†), entry for entry
+        params = scaled_params(phi=phi)
+        M, N = dims
+        a_low, a_up = ladder_ops(M)
+        b_low, b_up = ladder_ops(N)
+        _, sp, sm = pauli_ops()
+        expected = (params.Omega * kron3(sp + sm, np.eye(M), np.eye(N))
+                    + params.g * math.cos(phi) * params.eta_c
+                    * (kron3(sp, a_low, b_low) + kron3(sm, a_up, b_up)))
+        assert np.array_equal(
+            build_ld_hamiltonian(params, HilbertShape(M, N)), expected)
+
     def test_rwa_to_ld_difference_scales_as_eta_squared(self):
         shape = HilbertShape(5, 5)
 
