@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import checks as checks_mod
 from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
@@ -206,6 +205,9 @@ def series_table(series) -> tuple[list[str], list[list[float]]]:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    # imported here, its one use: ghz and sweep processes never load it
+    from . import checks as checks_mod
+
     if args.list:
         for name in checks_mod.CHECK_NAMES:
             print(name)
@@ -259,10 +261,19 @@ class Run(NamedTuple):
     dt: float | None
 
 
+def require_stepped(model: str, what: str, consequence: str):
+    """Refuse ``what``, a dt, for a model without a time step."""
+    if model != "lab_frame":
+        raise ConfigurationError(
+            f"{what} steps only the lab_frame model; model {model} has no "
+            f"time step, so {consequence}")
+
+
 def resolve_run(config: dict) -> Run:
     """Check a loaded config and turn it into one run, allocating nothing
     large and evolving nothing; a null g tunes the coupling, a number is
-    held as given, and a lab dt must resolve the period of H(t)."""
+    held as given, a dt is refused on a static model, and a lab dt must
+    resolve the period of H(t)."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -280,8 +291,11 @@ def resolve_run(config: dict) -> Run:
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
     dt, period = config_time(config, "dt"), lab_period(params)
-    if model == "lab_frame" and dt is not None and period is not None:
-        require_resolved_step(dt, period)
+    if dt is not None:
+        require_stepped(model, f"config key dt = {config['dt']!r}",
+                        "it would be ignored")
+        if period is not None:
+            require_resolved_step(dt, period)
     return Run(schedule, initial, model, pulse_times(schedule.t_p, n_times),
                dt)
 
@@ -359,15 +373,31 @@ def cmd_sweep(args) -> int:
             return {**config, "shape": f"{shape.vib_dim}x{shape.cav_dim}"}
         return {**config, axis: value}
 
+    if axis == "dt":
+        require_stepped(resolve_model(config["model"]), "sweep axis dt",
+                        "every point would be the same run")
     runs = [resolve_run(point(value)) for value in values]
     if axis == "dt":
-        if runs[0].model != "lab_frame":
-            raise ConfigurationError(
-                f"sweep axis dt steps only the lab_frame model; model "
-                f"{runs[0].model} has no time step, so every point would be "
-                f"the same run")
         values = [run.dt / US for run in runs]
-    reports = [protocol_timeseries(*run).final for run in runs]
+
+    # equal Hamiltonians have equal shape and block, so points sorted by
+    # them run each distinct Hamiltonian back to back and evolve_static
+    # diagonalises it once; rows stay in axis order, and a failing sweep
+    # reports the failure of its first failing point in axis order
+    def group(i: int) -> tuple:
+        shape, block = runs[i].schedule.shape, runs[i].schedule.block
+        return shape.vib_dim, shape.cav_dim, block.a, block.mu
+
+    reports, failure = [None] * len(runs), None
+    for i in sorted(range(len(runs)), key=group):
+        if failure is not None and i > failure[0]:
+            continue
+        try:
+            reports[i] = protocol_timeseries(*runs[i]).final
+        except Exception as exc:
+            failure = (i, exc)
+    if failure is not None:
+        raise failure[1]
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
     shapes = [run.schedule.shape for run in runs]

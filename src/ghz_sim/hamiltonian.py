@@ -275,10 +275,16 @@ def _dressed_hamiltonian(params: SystemParams, shape: HilbertShape,
     b_low, _ = ladder_ops(shape.cav_dim)
     _, sigma_p, sigma_m = pauli_ops()
     g_eff = effective_coupling(params.g, params.phi)
-    carrier = params.Omega * kron3(sigma_p + sigma_m, o0,
-                                   np.eye(shape.cav_dim, dtype=complex))
-    sideband_up = g_eff * params.eta_c * kron3(sigma_p, o1 @ a_low, b_low)
-    return carrier + sideband_up + sideband_up.conj().T
+    # assembled in place: the same products and sums in the same order as
+    # carrier + sideband + sideband†, so the same bits, with one D x D
+    # array fewer alive at the peak (traced: 16.9 -> 12.7 MB at 16x16)
+    h = kron3(sigma_p + sigma_m, o0, np.eye(shape.cav_dim, dtype=complex))
+    h *= params.Omega
+    side = kron3(sigma_p, o1 @ a_low, b_low)
+    side *= g_eff * params.eta_c
+    h += side
+    h += side.conj().T
+    return h
 
 
 def build_rwa_hamiltonian(params: SystemParams, shape: HilbertShape) -> np.ndarray:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghz_sim import checks, cli
+from ghz_sim import checks, cli, evolution
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import MODEL_ALIASES, fmt, main, read_table, write_table
 from ghz_sim.evolution import block_propagator
@@ -435,6 +439,22 @@ class TestExitCodes:
         assert f"model {MODEL_ALIASES[model]}" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("model", ["block", "ld", "rwa"])
+    def test_config_dt_of_a_static_model_exits_two(self, tmp_path, capsys,
+                                                   model):
+        # a static model has no step to cap: the dt would be ignored
+        cfg = tmp_path / "dt.json"
+        cfg.write_text(json.dumps({"dt": 5}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--model", model, "--shape", "6x6",
+                     "--config", str(cfg), "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        # the wording of the dt sweep refusal
+        assert (f"config key dt = 5 steps only the lab_frame model; model "
+                f"{MODEL_ALIASES[model]} has no time step") in err
+        assert not out_file.exists()
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))
@@ -503,6 +523,81 @@ class TestSweepCommand:
         assert run_cli("sweep", "vib_dim", "4", "--model", "ld",
                        "--shape", "6x6", "--output", str(out_file)) == 1
         assert "top-level population" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("model, axis, values, eighs", [
+        ("ld", "eta_c", (0.07, 0.02, 0.1, 0.05, 0.03, 0.09, 0.04, 0.08), 2),
+        ("rwa", "eta_c", (0.07, 0.02, 0.1, 0.05, 0.03, 0.09, 0.04, 0.08), 8),
+        ("ld", "phi", (0.3, 0.0, 0.1, 0.2), 1),
+        ("rwa", "phi", (0.3, 0.0, 0.1, 0.2), 1)])
+    def test_each_distinct_hamiltonian_is_diagonalised_once(
+            self, tmp_path, monkeypatch, model, axis, values, eighs):
+        # tuned, g cos(phi) eta_c is pinned: the ld eta_c points build two
+        # distinct matrices (the product rounds two ways), the phi points one
+        eigh, evolve = np.linalg.eigh, cli.protocol_timeseries
+        calls, ran = [], []
+
+        def eigh_spy(h, *args, **kwargs):
+            calls.append(h.shape)
+            return eigh(h, *args, **kwargs)
+
+        def run_spy(*run):
+            ran.append(getattr(run[0].params, axis))
+            return evolve(*run)
+
+        monkeypatch.setattr(evolution, "_held", None)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(cli, "protocol_timeseries", run_spy)
+        out_file = tmp_path / "s.csv"
+        assert run_cli("sweep", axis, ",".join(map(str, values)), "--model",
+                       model, "--shape", "16x16",
+                       "--output", str(out_file)) == 0
+        assert len(calls) == eighs
+        assert sorted(ran) == sorted(values)
+        columns, rows = read_table(str(out_file))
+        assert [r[columns.index(axis)] for r in rows] == list(values)
+
+    def test_ld_points_run_grouped_and_rows_stay_in_axis_order(
+            self, tmp_path, monkeypatch):
+        evolve = cli.protocol_timeseries
+        ran = []
+
+        def run_spy(*run):
+            ran.append(run[0].params.eta_c)
+            return evolve(*run)
+
+        monkeypatch.setattr(cli, "protocol_timeseries", run_spy)
+        values = [0.02, 0.05, 0.04, 0.1, 0.08]
+        out_file = tmp_path / "s.csv"
+        assert run_cli("sweep", "eta_c", ",".join(map(str, values)),
+                       "--model", "ld", "--shape", "6x6",
+                       "--output", str(out_file)) == 0
+        # 0.05 and 0.1 round the tuned g eta_c (the sideband element a) to
+        # the lower of two neighbouring floats, 0.02, 0.04 and 0.08 to the
+        # upper: each group runs back to back, in axis order within it
+        assert ran == [0.05, 0.1, 0.02, 0.04, 0.08]
+        columns, rows = read_table(str(out_file))
+        assert [r[0] for r in rows] == values
+
+    def test_failing_sweep_reports_its_first_failing_point(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        # vib_dim 3 runs first (the smaller shape) and fails, but the sweep
+        # reports vib_dim 4, the first failing point in axis order, as a
+        # sweep that ran in axis order would
+        evolve = cli.protocol_timeseries
+        ran = []
+
+        def run_spy(*run):
+            ran.append(run[0].shape.vib_dim)
+            return evolve(*run)
+
+        monkeypatch.setattr(cli, "protocol_timeseries", run_spy)
+        out_file = tmp_path / "vib.csv"
+        assert run_cli("sweep", "vib_dim", "4,3", "--model", "ld",
+                       "--shape", "6x6", "--output", str(out_file)) == 1
+        assert ran == [3, 4]
+        assert "rerun with shape at least 6x8" in capsys.readouterr().err
         assert not out_file.exists()
 
     def test_empty_range_exits_two(self, tmp_path, capsys):
@@ -710,3 +805,27 @@ def test_write_table_bytes_equal_the_per_value_format(tmp_path):
                "rows": [[float(fmt(v)) for v in r] for r in (row, row[::-1])]}
     assert json_f.read_bytes() == (json.dumps(payload, indent=1)
                                    + "\n").encode()
+
+
+def test_ghz_processes_load_neither_checks_nor_hashlib(tmp_path):
+    # checks is imported by validate alone; nothing imports hashlib (its
+    # OpenSSL load costs a few MB of RSS)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ghz_sim.cli as cli\n"
+        "unwanted = ('ghz_sim.checks', 'hashlib', '_hashlib')\n"
+        "print(sorted(set(unwanted) & set(sys.modules)))\n"
+        "assert cli.main(['ghz', '--model', 'ld', '--shape', '6x6',\n"
+        "                 '--output', sys.argv[1]]) == 0\n"
+        "print(sorted(set(unwanted) & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "ld.csv")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # after the import, and after the run (its summary line between)
+    after_import, summary, after_run = proc.stdout.splitlines()
+    assert summary.startswith("ghz model=ld_full")
+    assert after_import == after_run == "[]"

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scaled_params
+from ghz_sim import evolution
 from ghz_sim.errors import AccuracyError, ConfigurationError, ModelError
 from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep,
@@ -260,6 +262,106 @@ class TestEvolveStatic:
         with pytest.raises(ValueError):
             evolve_static(np.zeros((2, 2), dtype=complex),
                           basis_state(shape, "g", 0, 0), [0.0, 1.0, 0.5])
+
+
+class TestEigensystemReuse:
+    """evolve_static diagonalises each distinct H once: the held eigensystem
+    is keyed on every bit of H, and a reused run equals a cold one."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """Start from an empty memo; count np.linalg.eigh calls and check
+        that every earlier eigensystem is freed before each one runs."""
+        calls, earlier = [], []
+        eigh = np.linalg.eigh
+
+        def spy(h, *args, **kwargs):
+            assert evolution._held is None
+            assert all(vecs() is None for vecs in earlier)
+            calls.append(h.shape)
+            evals, vecs = eigh(h, *args, **kwargs)
+            earlier.append(weakref.ref(vecs))
+            return evals, vecs
+
+        monkeypatch.setattr(evolution, "_held", None)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return calls
+
+    @staticmethod
+    def run(h):
+        shape = HilbertShape(3, 3)
+        return evolve_static(h, basis_state(shape, "g", 0, 0),
+                             np.linspace(0.0, 5.0, 11)).amplitudes
+
+    @staticmethod
+    def ld_matrix():
+        return build_ld_hamiltonian(scaled_params(Omega=1.0),
+                                    HilbertShape(3, 3))
+
+    def cold(self, h):
+        evolution._held = None
+        return self.run(h)
+
+    def test_a_repeated_hamiltonian_is_diagonalised_once(self, eigh_calls):
+        h = self.ld_matrix()
+        first = self.run(h)
+        again = self.run(h)
+        rebuilt = self.run(self.ld_matrix())
+        assert len(eigh_calls) == 1
+        assert np.array_equal(again, first)
+        assert np.array_equal(rebuilt, first)
+
+    def test_reused_run_is_bitwise_a_cold_run(self, eigh_calls):
+        h = self.ld_matrix()
+        self.run(h)
+        reused = self.run(h)
+        assert np.array_equal(reused, self.cold(h))
+        assert len(eigh_calls) == 2
+
+    @pytest.mark.parametrize("edit", ["one_ulp", "negative_zero"])
+    def test_any_changed_bit_recomputes(self, eigh_calls, edit):
+        h = self.ld_matrix()
+        self.run(h)
+        changed = h.copy()
+        if edit == "one_ulp":
+            value = np.nextafter(h[0, 9].real, np.inf)
+            changed[0, 9] = changed[9, 0] = value
+            assert value != h[0, 9].real
+        else:
+            # an entry -0.0 compares equal to +0.0 but is another bit pattern
+            changed[0, 0] = complex(-0.0, 0.0)
+            assert np.array_equal(changed, h)
+        got = self.run(changed)
+        assert len(eigh_calls) == 2
+        assert np.array_equal(got, self.cold(changed))
+
+    def test_an_in_place_edit_of_the_same_array_recomputes(self, eigh_calls):
+        h = self.ld_matrix()
+        before = self.run(h)
+        h[0, 9] *= 2.0
+        h[9, 0] *= 2.0
+        after = self.run(h)
+        assert len(eigh_calls) == 2
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, self.cold(h))
+
+    def test_one_read_only_eigensystem_is_held(self, eigh_calls):
+        # the spy asserts the first pair is freed before the second eigh
+        self.run(self.ld_matrix())
+        *_, evals, vecs = evolution._held
+        assert not evals.flags.writeable and not vecs.flags.writeable
+        del evals, vecs
+        self.run(build_ld_hamiltonian(scaled_params(Omega=2.0),
+                                      HilbertShape(3, 3)))
+        assert len(eigh_calls) == 2
+
+    def test_hermiticity_is_checked_on_every_call(self, eigh_calls):
+        h = self.ld_matrix()
+        self.run(h)
+        h[0, 9] += 1.0
+        with pytest.raises(ModelError):
+            self.run(h)
+        assert len(eigh_calls) == 1
 
 
 def random_rows(shape, n_rows, seed):

@@ -361,6 +361,38 @@ class TestLdHamiltonian:
         assert ratio == pytest.approx(4.0, abs=0.8)
 
 
+def out_of_place_dressed(params, shape, o0, o1):
+    """The dressed assembly as one expression, carrier + sideband +
+    sideband†, each term a fresh array: the reference for the in-place
+    builder."""
+    a_low, _ = ladder_ops(shape.vib_dim)
+    b_low, _ = ladder_ops(shape.cav_dim)
+    _, sp, sm = pauli_ops()
+    g_eff = effective_coupling(params.g, params.phi)
+    carrier = params.Omega * kron3(sp + sm, o0,
+                                   np.eye(shape.cav_dim, dtype=complex))
+    sideband_up = g_eff * params.eta_c * kron3(sp, o1 @ a_low, b_low)
+    return carrier + sideband_up + sideband_up.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 6), (10, 10), (16, 16)])
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+@pytest.mark.parametrize("eta", [0.02, 0.05, 0.1, 0.3])
+def test_in_place_assembly_is_bitwise_the_out_of_place_sum(eta, phi, dims):
+    # equal bits, sign of zero included: evolve_static keys its reuse on them
+    params = scaled_params(eta_c=eta, eta_L=eta, phi=phi)
+    shape = HilbertShape(*dims)
+    eye = np.eye(shape.vib_dim, dtype=complex)
+    for built, o0, o1 in (
+            (build_ld_hamiltonian(params, shape), eye, eye),
+            (build_rwa_hamiltonian(params, shape),
+             build_O_k(0, eta, shape.vib_dim),
+             build_O_k(1, eta, shape.vib_dim))):
+        expected = out_of_place_dressed(params, shape, o0, o1)
+        assert np.array_equal(built.view(np.uint64),
+                              expected.view(np.uint64))
+
+
 class TestBlockHamiltonian:
     def test_tuned_couplings(self):
         # Omega = 1, g eta_c = 1/sqrt(15): nonzeros (0,1) = (2,3) = 1 and

@@ -6,6 +6,7 @@ against ``perfbench/references.json``."""
 
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -53,5 +54,18 @@ def test_pulse_small_menu_matches_the_pinned_series(tmp_path, capsys, model):
 @pytest.mark.parametrize("model", workloads.SWEEP_MODELS)
 def test_sweep_large_points_match_the_pinned_rows(tmp_path, capsys, model):
     op = workloads.sweep_op(model, [0.1, 0.02])
+    path = run_op(op, tmp_path, capsys)
+    assert workloads.sweep_check(op, path, REFS) is None
+
+
+@pytest.mark.parametrize("model", workloads.SWEEP_MODELS)
+def test_shuffled_full_grid_sweep_matches_the_pinned_rows(tmp_path, capsys,
+                                                          model):
+    # the points run grouped by Hamiltonian, not in the given order; the
+    # rows must still come out in the given order, each one pinned
+    values = list(workloads.ETA_C_GRID)
+    random.Random(f"shuffle/{model}").shuffle(values)
+    assert values != sorted(values)
+    op = workloads.sweep_op(model, values)
     path = run_op(op, tmp_path, capsys)
     assert workloads.sweep_check(op, path, REFS) is None
