@@ -7,7 +7,15 @@ Omega = 8.95 MHz under this angular reading.) Set ``"units": "si"`` in the
 config to pass rad/s and seconds through unchanged.
 
 All emitted numbers go through one fixed 12-significant-digit lowercase
-scientific format, so output files are byte-deterministic for a fixed config.
+scientific format, ``"%.11e"`` (:func:`fmt`), so output files are
+byte-deterministic for a fixed config. Tables are written by one numpy pass
+that produces exactly those bytes (:func:`write_table`): for
+1e-290 <= |x| <= 1e290 the mantissa is rint(|x| 10^(11 - e)), with e the
+decimal exponent and the power of ten correctly rounded, so the scaled
+value is within 2.3e-4 of the exact one and rounds the same way unless it
+lies within 1e-3 of a tie; ties, values whose rounding may carry into a
+13th digit, |x| outside that range, NaN and inf are formatted by Python's
+own ``"%.11e"``.
 
 Exit codes: 0 success, 1 check or accuracy failure, 2 usage or config error.
 """
@@ -15,6 +23,7 @@ Exit codes: 0 success, 1 check or accuracy failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,17 +158,114 @@ def resolve_model(name: str) -> str:
 # table writing / reading
 # ---------------------------------------------------------------------------
 
+# one value's slot: five little-endian uint32 words, 20 bytes, laid out as
+# "-d.d" "dddd" "dddd" "dde+" "dd,\0" (positive: a zero byte for the "-";
+# a three-digit exponent: "ddd,"); zero bytes are dropped when written
+WORD = np.dtype("<u4")
+EXP_MAX = 300
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The writer's lookup tables, built on first use so that importing the
+    CLI (and ``--help``) does not pay for them: the four ASCII digits of
+    0-9999 in one uint32 word each ("0042" is '0', '0', '4', '2' in
+    memory); the word "d.d" of each two-digit lead 0-99; for each exponent
+    e in [-EXP_MAX, EXP_MAX] the "e+" half word and the exponent's digits,
+    with the bit shift of the separator after them; and the correctly
+    rounded powers of ten 10^-279 .. 10^301 (``float("1e%d")``, not
+    ``10.0 ** k``)."""
+    ascii_digit = np.arange(ord("0"), ord("9") + 1, dtype=WORD)
+    digits = (ascii_digit[:, None, None, None]
+              | ascii_digit[:, None, None] << 8
+              | ascii_digit[:, None] << 16 | ascii_digit << 24).ravel()
+    lead = ((digits[:100] & 0xFF0000) >> 8 | ord(".") << 16
+            | digits[:100] & 0xFF000000)
+    e = np.arange(-EXP_MAX, EXP_MAX + 1)
+    wide = np.abs(e) >= 100
+    e_sign = (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8) << 16
+    e_digits = np.where(wide, digits[np.abs(e)] >> 8, digits[np.abs(e)] >> 16)
+    powers = np.array([float(f"1e{k}") for k in range(-279, 302)])
+    tables = (digits, lead, e_sign.astype(WORD), e_digits,
+              np.where(wide, 24, 16).astype(WORD), powers)
+    for table in tables:   # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def format_rows(values: np.ndarray) -> bytes:
+    """The bytes of one ``",".join(fmt(v) for v in row) + "\\n"`` per row of
+    a 2-D float array with at least one column, in one vectorised pass (see
+    :func:`write_table` for why they are the same bytes)."""
+    digits, lead, e_sign, e_digits, sep_shift, powers = _format_tables()
+    x = values.ravel()
+    ax = np.abs(x)
+    # the fast path's proven range; NaN compares False
+    fast = (ax >= 1e-290) & (ax <= 1e290)
+    a = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * powers[11 - e + 279]
+    e += (y >= 1e12).astype(np.int64) - (y < 1e11)
+    y = a * powers[11 - e + 279]
+    frac = y - np.floor(y)
+    fast &= (y >= 1e11) & (y < 1e12 - 1) & (np.abs(frac - 0.5) > 1e-3)
+    # zero, like every value off the fast path, has mantissa 0 and e = 0
+    fallback = ~fast & (ax != 0)
+    mantissa = np.where(fast, np.rint(y), 0).astype(np.int64)
+
+    sep = np.full(values.shape, ord(","), dtype=WORD)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    e += EXP_MAX
+    words = np.empty((len(x), 5), dtype=WORD)
+    # the 12 digits split 2 + 4 | 4 + 2 (a product is cheaper than a %)
+    high = mantissa // 10 ** 6
+    low = mantissa - high * 10 ** 6
+    first, third = high // 10 ** 4, low // 100
+    words[:, 0] = lead[first] | np.signbit(x) * ord("-")
+    words[:, 1] = digits[high - first * 10 ** 4]
+    words[:, 2] = digits[third]
+    words[:, 3] = digits[low - third * 100] >> 16 | e_sign[e]
+    words[:, 4] = e_digits[e] | sep << sep_shift[e]
+    slots = words.view(np.uint8)
+    for i in np.flatnonzero(fallback):
+        text = b"%.11e" % x[i]
+        slots[i] = 0
+        slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        slots[i, len(text)] = sep[i]
+    return slots[slots != 0].tobytes()
+
+
 def write_table(path: str, columns: list[str], rows: list[list[float]],
                 file_format: str):
-    """Write ``rows`` under ``columns`` as CSV, or as JSON for "json"."""
-    # one %-format per row writes the same bytes as joining fmt of each value
-    row_format = ",".join(["%.11e"] * len(columns))
-    lines = [row_format % tuple(row) for row in rows]
+    """Write ``rows`` (a list of rows or a 2-D float array) under
+    ``columns`` as CSV, or as JSON for "json".
+
+    Every value is written as :func:`fmt` writes it, ``"%.11e"``, but in
+    one numpy pass (:func:`format_rows`). For finite x with
+    1e-290 <= |x| <= 1e290, e = floor(log10 |x|), moved by one when
+    y = |x| 10^(11 - e) falls outside [1e11, 1e12), with 10^(11 - e)
+    correctly rounded (a table of ``float("1e%d")``). y then carries two
+    roundings, a relative error below 2.3e-16, so it is within 2.3e-4 of
+    the exact |x| 10^(11 - e) < 1e12, and rint(y) is the correctly rounded
+    12-digit mantissa, the one ``"%.11e"`` prints, unless y is within that
+    distance of a tie. Zero is written directly. Everything else goes
+    through Python's own ``"%.11e"``, whose string is copied into the row:
+    y within 1e-3 of a tie; y >= 1e12 - 1, where rounding may carry into a
+    13th digit (an exact value just under 1e11 whose y landed below 1e11
+    arrives here after the move); |x| outside [1e-290, 1e290]; NaN and
+    +-inf. The JSON rows are the CSV lines parsed back to floats, as a
+    reader of the CSV would get them.
+    """
+    values = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
+    # without columns, a row is an empty line
+    body = (format_rows(values).decode("ascii") if values.size
+            else "\n" * len(rows))
     if file_format == "csv":
-        text = "\n".join([",".join(columns)] + lines) + "\n"
+        text = ",".join(columns) + "\n" + body
     else:
         payload = {"columns": columns, "rows": [
-            list(map(float, line.split(","))) for line in lines]}
+            list(map(float, line.split(","))) for line in body.splitlines()]}
         text = json.dumps(payload, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -190,14 +296,14 @@ def population_columns(shape: HilbertShape, populations: np.ndarray
     return names, populations[:, index]
 
 
-def series_table(series) -> tuple[list[str], list[list[float]]]:
+def series_table(series) -> tuple[list[str], np.ndarray]:
     """Flatten a ProtocolSeries into fixed and pop_* columns. Times are
     emitted in microseconds regardless of the input unit system."""
     names, pops = population_columns(series.shape, series.populations)
     columns = ["t_us"] + names + ["fidelity", "norm", "block_leakage"]
     return columns, np.column_stack([series.times / US, pops, series.fidelity,
                                      series.norm,
-                                     series.block_leakage]).tolist()
+                                     series.block_leakage])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +522,7 @@ def cmd_sweep(args) -> int:
                               report.block_leakage]
                              for value, run, report in zip(values, runs,
                                                            reports)],
-                            pops]).tolist()
+                            pops])
     write_table(config["output"], columns, rows, config["format"])
     print(f"sweep axis={axis} points={len(runs)} model={runs[0].model} "
           f"output={config['output']}")
@@ -464,9 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser a process: parse_args keeps every parsed value in a new
+# Namespace and leaves the parser as it was, so a reused parser parses each
+# argv exactly as a fresh one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (AccuracyError, TruncationError) as exc:

@@ -164,8 +164,10 @@ def block_propagator(block: BlockParams,
 
 
 def require_hermitian(h: np.ndarray):
+    """Refuse an H with max |H - H†| above HERMITICITY_ATOL, or not finite:
+    a NaN or inf entry makes that deviation NaN or inf."""
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if dev > HERMITICITY_ATOL:
+    if not dev <= HERMITICITY_ATOL:
         raise ModelError(f"Hamiltonian is not Hermitian: max |H - H†| = {dev:.3e}")
 
 
@@ -294,8 +296,9 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         Step-size cap. Each integrated interval is subdivided uniformly so the
         actual step never exceeds dt and store times are hit exactly.
     store_times : sequence, optional
-        Strictly increasing times >= 0 at which to record the state
-        (default: just 0 and t_end). Must end at t_end.
+        Finite, strictly increasing times >= 0 at which to record the
+        state (default: just 0 and t_end). Must end at t_end. Checked
+        before any step is taken.
     period : float, optional
         A period T of H(t), H(t + T) = H(t) (pi / omega_L for the
         laser-frame model). It sets the resolution guard dt <= T / 50, and
@@ -316,8 +319,8 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be a finite number > 0, got {dt!r}")
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be a finite number >= 0, got {t_end!r}")
     if period is not None:
         if not (math.isfinite(period) and period > 0):
             raise ValueError(
@@ -327,6 +330,12 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     if store_times is None:
         store_times = [0.0, t_end] if t_end > 0 else [0.0]
     store_times = np.asarray(store_times, dtype=float)
+    # checked before any step: a NaN time would become a garbage period
+    # count, a repeated one would fail only after the whole march
+    if not (store_times.ndim == 1 and len(store_times)
+            and np.all(np.isfinite(store_times))
+            and np.all(np.diff(store_times) > 0)):
+        raise ValueError("store_times must be finite and strictly increasing")
     if abs(store_times[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
         raise ValueError("store_times must end at t_end")
     if store_times[0] < 0:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_sim import checks, cli, evolution
 from ghz_sim.checks import CHECK_NAMES
@@ -807,25 +809,152 @@ def test_write_table_bytes_equal_the_per_value_format(tmp_path):
                                    + "\n").encode()
 
 
+def per_value_table(columns, rows, file_format):
+    """The bytes write_table writes, built from fmt of each value."""
+    if file_format == "csv":
+        lines = [",".join(fmt(v) for v in row) for row in rows]
+        return "\n".join([",".join(columns)] + lines).encode() + b"\n"
+    payload = {"columns": columns,
+               "rows": [[float(fmt(v)) for v in row] for row in rows]}
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.floats(width=64), min_size=width, max_size=width),
+    max_size=8)), st.sampled_from(["csv", "json"]))
+def test_write_table_property_matches_the_per_value_format(tmp_path_factory,
+                                                           rows, file_format):
+    # st.floats() draws NaN, +-inf, +-0.0, subnormals and the extremes
+    width = len(rows[0]) if rows else 3
+    columns = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.mktemp("table") / f"t.{file_format}"
+    write_table(str(path), columns, rows, file_format)
+    assert path.read_bytes() == per_value_table(columns, rows, file_format)
+    # an array is written exactly as the same rows in lists
+    write_table(str(path), columns, np.array(rows).reshape(len(rows), width),
+                file_format)
+    assert path.read_bytes() == per_value_table(columns, rows, file_format)
+
+
+def format_corpus() -> np.ndarray:
+    """About 1.2 million doubles that probe every branch of the vectorised
+    writer, from a fixed seed."""
+    rng = np.random.default_rng(20261018)
+    # every bit pattern: both signs, NaN payloads, inf, subnormals, extremes
+    bits = rng.integers(0, 2 ** 64, size=600_000,
+                        dtype=np.uint64).view(np.float64)
+    # 13-digit integers ending in 5, exact ties at 12 digits, then scaled by
+    # powers of 2 (exact), half of them kept at 2^0
+    ties = (rng.integers(10 ** 11, 10 ** 12, size=150_000) * 10 + 5
+            ).astype(float)
+    scale = np.where(rng.random(len(ties)) < 0.5, 0,
+                     rng.integers(-1060, 970, size=len(ties)))
+    ties = np.ldexp(ties, scale)
+    # decimal ties at every exponent, read to the nearest double: within
+    # an ulp of the tie, on either side, where a scaling error would show
+    near = np.array([float(f"{n}5e{k}") for n, k in zip(
+        rng.integers(10 ** 11, 10 ** 12, size=100_000),
+        rng.integers(-320, 297, size=100_000))])
+    # every power of ten and its two neighbouring doubles
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tens = np.concatenate([tens, np.nextafter(tens, np.inf),
+                           np.nextafter(tens, 0.0)])
+    subnormal = rng.integers(1, 2 ** 52, size=50_000,
+                             dtype=np.uint64).view(np.float64)
+    # typical table values: reciprocals of integers
+    typical = 1.0 / rng.integers(1, 10 ** 6, size=300_000)
+    signed = np.concatenate([ties, near, tens, subnormal, typical])
+    signed *= np.where(rng.random(len(signed)) < 0.5, -1.0, 1.0)
+    return np.concatenate([bits, signed])
+
+
+def test_format_rows_equals_the_percent_format_on_a_fixed_corpus():
+    values = format_corpus()
+    assert len(values) >= 10 ** 6
+    values = values[:len(values) // 5 * 5].reshape(-1, 5)
+    expected = "".join("%.11e,%.11e,%.11e,%.11e,%.11e\n" % tuple(row)
+                       for row in values.tolist()).encode()
+    assert cli.format_rows(values) == expected
+
+
+class TestParserReuse:
+    """main() parses every call with one parser; no call leaks into the
+    next."""
+
+    def test_one_parser_serves_every_call(self):
+        assert cli._parser() is cli._parser()
+
+    def test_a_flag_does_not_outlive_its_call(self, tmp_path, capsys):
+        out = str(tmp_path / "run.csv")
+        assert run_cli("ghz", "--p", "2", "--output", out) == 0
+        assert " p=2 " in capsys.readouterr().out
+        assert run_cli("ghz", "--output", out) == 0
+        assert " p=1 " in capsys.readouterr().out
+
+    def test_a_sweep_leaves_no_axis_behind(self, tmp_path, capsys):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert run_cli("ghz", "--output", str(before)) == 0
+        first = capsys.readouterr().out.replace(str(before), "OUT")
+        assert run_cli("sweep", "p", "1,2", "--model", "block", "--shape",
+                       "2x2", "--output", str(tmp_path / "sweep.csv")) == 0
+        capsys.readouterr()
+        args = cli._parser().parse_args(["ghz"])
+        assert not hasattr(args, "axis") and not hasattr(args, "values")
+        assert run_cli("ghz", "--output", str(after)) == 0
+        assert capsys.readouterr().out.replace(str(after), "OUT") == first
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_a_usage_error_does_not_spoil_the_next_call(self, tmp_path,
+                                                        capsys):
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli("ghz", "--model", "ld", "--shape", "6x6",
+                       "--output", str(fresh)) == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ghz", "--p", "two", "--model", "rwa")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        again = tmp_path / "again.csv"
+        assert run_cli("ghz", "--model", "ld", "--shape", "6x6",
+                       "--output", str(again)) == 0
+        assert capsys.readouterr().out == expected.replace(str(fresh),
+                                                           str(again))
+        assert again.read_bytes() == fresh.read_bytes()
+
+
 def test_ghz_processes_load_neither_checks_nor_hashlib(tmp_path):
     # checks is imported by validate alone; nothing imports hashlib (its
-    # OpenSSL load costs a few MB of RSS)
+    # OpenSSL load costs a few MB of RSS); the writer's lookup tables are
+    # built by the first table written, so importing the CLI and --help
+    # build none
     src = Path(cli.__file__).resolve().parents[1]
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import ghz_sim.cli as cli\n"
         "unwanted = ('ghz_sim.checks', 'hashlib', '_hashlib')\n"
-        "print(sorted(set(unwanted) & set(sys.modules)))\n"
+        "def state():\n"
+        "    tables = cli._format_tables.cache_info().currsize\n"
+        "    print(sorted(set(unwanted) & set(sys.modules)), tables)\n"
+        "state()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "state()\n"
         "assert cli.main(['ghz', '--model', 'ld', '--shape', '6x6',\n"
         "                 '--output', sys.argv[1]]) == 0\n"
-        "print(sorted(set(unwanted) & set(sys.modules)))\n")
+        "state()\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code,
                            str(tmp_path / "ld.csv")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # after the import, and after the run (its summary line between)
-    after_import, summary, after_run = proc.stdout.splitlines()
+    # after the import, after --help, and after the run (its summary line
+    # between)
+    after_import, after_help, summary, after_run = proc.stdout.splitlines()
     assert summary.startswith("ghz model=ld_full")
-    assert after_import == after_run == "[]"
+    assert after_import == after_help == "[] 0"
+    assert after_run == "[] 1"

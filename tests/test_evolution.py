@@ -257,6 +257,16 @@ class TestEvolveStatic:
         with pytest.raises(ModelError):
             evolve_static(h, basis_state(shape, "g", 0, 0), [0.1])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
+                                       complex(0, math.nan)])
+    def test_non_finite_entries_rejected(self, entry):
+        # a NaN deviation compares False against the tolerance; it is refused
+        shape = HilbertShape(1, 1)
+        for h in (np.array([[0, entry], [entry, 0]], dtype=complex),
+                  np.array([[entry, 0], [0, 0]], dtype=complex)):
+            with pytest.raises(ModelError, match="not Hermitian"):
+                evolve_static(h, basis_state(shape, "g", 0, 0), [0.0, 1.0])
+
     def test_times_must_increase(self):
         shape = HilbertShape(1, 1)
         with pytest.raises(ValueError):
@@ -562,6 +572,35 @@ class TestPeriodPropagator:
         with pytest.raises(ValueError, match="period"):
             evolve_timedep(source, basis_state(shape, "g", 0, 0), 1e-3, dt,
                            period=period)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan, 1.0], [0.0, math.inf, 1.0], [0.0, 0.5, 0.5, 1.0],
+        [0.0, 0.7, 0.5, 1.0], []])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_bad_store_times_are_refused_before_any_step(self, times,
+                                                         periodic):
+        shape, source, period, dt = scaled_lab_period()
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return source(t)
+
+        t_end = times[-1] if times else 1.0
+        scale = period if periodic else 1e-3
+        with pytest.raises(ValueError, match="store_times must be finite "
+                                             "and strictly increasing"):
+            evolve_timedep(counted, basis_state(shape, "g", 0, 0),
+                           t_end * scale, dt,
+                           store_times=[t * scale for t in times],
+                           period=period if periodic else None)
+        assert calls == []
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_t_end(self, t_end):
+        shape, source, _, dt = scaled_lab_period()
+        with pytest.raises(ValueError, match="t_end must be a finite"):
+            evolve_timedep(source, basis_state(shape, "g", 0, 0), t_end, dt)
 
     def test_rejects_negative_store_times(self):
         # a negative time would need U(T)^-1
