@@ -13,7 +13,7 @@ from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
                            evolve_lab, fidelity, ghz_schedule,
                            protocol_timeseries, run_protocol, target_state,
                            tune_coupling)
-from .hamiltonian import (BlockParams, SystemParams, build_block_hamiltonian,
+from .hamiltonian import (BlockParams, SystemParams, block_matrix,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian, effective_coupling,
                           lab_hamiltonian_source, rotating_frame_source)

@@ -23,8 +23,7 @@ from .evolution import (BLOCK_PERMUTATION, block_propagator, evolve_static,
 from .fock_core import HilbertShape, basis_state, partial_trace
 from .ghz_protocol import ghz_schedule, target_state, tune_coupling
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
-                          block_matrix, build_block_hamiltonian,
-                          build_ld_hamiltonian, build_O_k,
+                          block_matrix, build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian)
 
 CHECK_SEED = 20260808
@@ -189,7 +188,7 @@ def check_block_structure() -> CheckResult:
     worst = 0.0
     for m in (1, 2):
         for n in (1, 2):
-            h_block, _ = build_block_hamiltonian(params, m, n)
+            h_block = block_matrix(BlockParams.from_params(params, m, n))
             idx = [shape.index(*lbl) for lbl in block_basis_labels(m, n)]
             worst = max(worst, float(np.max(np.abs(h_ld[np.ix_(idx, idx)] - h_block))))
     h_rwa = build_rwa_hamiltonian(params, shape)
@@ -237,7 +236,7 @@ def check_permutation_symmetry() -> CheckResult:
     params = _scaled_params()
     worst = 0.0
     for m, n in ((1, 1), (2, 3)):
-        h, _ = build_block_hamiltonian(params, m, n)
+        h = block_matrix(BlockParams.from_params(params, m, n))
         worst = max(worst, float(np.max(np.abs(BLOCK_PERMUTATION @ h
                                                - h @ BLOCK_PERMUTATION))))
     return CheckResult("permutation_symmetry", worst == 0.0, worst, 0.0,

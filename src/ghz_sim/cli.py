@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -36,9 +37,9 @@ from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
 from .evolution import require_resolved_step
-from .ghz_protocol import (Label, ProtocolSchedule, _physical_memory,
-                           ghz_schedule, lab_period, parse_label,
-                           protocol_timeseries, pulse_times, require_memory)
+from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
+                           ProtocolSchedule, ghz_schedule, lab_period,
+                           parse_label, protocol_timeseries, pulse_times)
 from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
@@ -71,8 +72,7 @@ DEFAULT_CONFIG = {
     "output": "ghz_series.csv",
 }
 
-MODEL_ALIASES = {"block": "block_analytic", "ld": "ld_full",
-                 "rwa": "rwa_full", "lab": "lab_frame"}
+MODEL_ALIASES = dict(zip(("block", "ld", "rwa", "lab"), MODEL_TAGS))
 
 FORMATS = ("csv", "json")
 
@@ -145,10 +145,30 @@ def config_time(config: dict, key: str) -> float | None:
     return value * scale
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: page size x physical pages."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(shape: HilbertShape, model: str, n_times: int):
+    """Refuse, before anything is allocated, a run whose largest dense array
+    exceeds physical memory: the (n_times, D) complex trajectory of every
+    model, or the D x D complex Hamiltonian of ld, rwa and lab."""
+    physical = _physical_memory()
+    dim = shape.total_dim
+    need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
+    if model != BLOCK_ANALYTIC and 16 * dim * dim > need:
+        need, what = 16 * dim * dim, f"its {dim} x {dim} Hamiltonian"
+    if need > physical:
+        raise ConfigurationError(
+            f"shape {shape.vib_dim}x{shape.cav_dim} needs {need:,} bytes for "
+            f"{what}, more than the {physical:,} bytes of physical memory")
+
+
 def resolve_model(name: str) -> str:
     if name in MODEL_ALIASES:
         return MODEL_ALIASES[name]
-    if name in MODEL_ALIASES.values():
+    if name in MODEL_TAGS:
         return name
     raise ConfigurationError(
         f"unknown model {name!r}; choose from {sorted(MODEL_ALIASES)}")
@@ -369,9 +389,9 @@ class Run(NamedTuple):
 
 def require_stepped(model: str, what: str, consequence: str):
     """Refuse ``what``, a dt, for a model without a time step."""
-    if model != "lab_frame":
+    if model != LAB_FRAME:
         raise ConfigurationError(
-            f"{what} steps only the lab_frame model; model {model} has no "
+            f"{what} steps only the {LAB_FRAME} model; model {model} has no "
             f"time step, so {consequence}")
 
 

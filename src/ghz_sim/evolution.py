@@ -14,14 +14,17 @@ Three engines plus the frame transform that links them:
 * :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
   lab-frame model, in the laser frame) with a fixed-step classical
   Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
-  of H(t) it keeps dt <= T / 50, integrates one period only and reaches
-  later times through U(k T + tau) = U(tau) U(T)^k. Norm drift is never
-  repaired by renormalization, it is the accuracy signal;
+  of H(t) it keeps dt <= T / STEPS_PER_PERIOD, integrates one period only
+  and reaches later times through U(k T + tau) = U(tau) U(T)^k. Norm
+  drift is never repaired by renormalization, it is the accuracy signal;
 * :func:`to_interaction_picture` applies the diagonal phases that map a
   laser-frame trajectory into the interaction picture.
 
-Every full-space engine returns its trajectory as one (times x dim) complex
-amplitude array in an :class:`EvolutionResult`.
+Every engine takes its sample times under one contract,
+:func:`require_sample_times`: one-dimensional, non-empty, finite, >= 0 and
+strictly increasing, refused with ValueError before any eigendecomposition
+or step. Every full-space engine returns its trajectory as one
+(times x dim) complex amplitude array in an :class:`EvolutionResult`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .hamiltonian import BlockParams, SystemParams, rotating_frame_energies
 
 HERMITICITY_ATOL = 1e-9
 NORM_DRIFT_LIMIT = 1e-6
+STEPS_PER_PERIOD = 50   # the resolution guard: dt <= T / STEPS_PER_PERIOD
 
 # Permutation that swaps |g,m,n> <-> |e,m-1,n-1> and |e,m,n> <-> |g,m-1,n-1>.
 # It commutes with the block Hamiltonian and extends the two printed
@@ -61,17 +65,32 @@ def _top_level_mask(shape: HilbertShape) -> np.ndarray:
     return mask
 
 
+def require_sample_times(times: Sequence[float] | np.ndarray,
+                         name: str = "times") -> np.ndarray:
+    """``times`` as a float array if it meets the sample-time contract (see
+    the module docstring); otherwise a ValueError that names ``name``."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not (len(times) and np.all(np.isfinite(times))
+            and np.all(np.diff(times) > 0)):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+    if times[0] < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return times
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     """Stored trajectory of one evolution run.
 
     ``amplitudes`` is a read-only (len(times), shape.total_dim) complex array
-    whose row i is the state at ``times[i]``; a complex array passed in is
-    marked read-only, not copied. ``truncation_leak[i]`` is that
-    row's population in the top vibrational or top cavity level, the
-    truncation diagnostic, and ``norms[i]`` its norm, taken on first read;
-    ``norm_drift`` is the largest deviation of any norm from 1 seen by the
-    engine, by default that of ``norms``.
+    whose row i is the state at ``times[i]`` (:func:`require_sample_times`);
+    a complex array passed in is marked read-only, not copied.
+    ``truncation_leak[i]`` is that row's population in the top vibrational
+    or top cavity level, the truncation diagnostic, and ``norms[i]`` its
+    norm, taken on first read; ``norm_drift`` is the largest deviation of
+    any norm from 1 seen by the engine, by default that of ``norms``.
     """
 
     times: np.ndarray
@@ -81,11 +100,7 @@ class EvolutionResult:
     truncation_leak: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
+        times = require_sample_times(self.times)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (len(times), self.shape.total_dim):
             raise ValueError(
@@ -122,7 +137,7 @@ def block_propagator(block: BlockParams,
 
     ``t`` is a scalar, giving one (4, 4) matrix, or an array of times of
     shape (T,), giving the (T, 4, 4) stack of the propagators at each time;
-    every time must be >= 0.
+    either (a scalar as one sample) meets :func:`require_sample_times`.
 
     Columns 2 and 3 (initial |g,m-1,n-1> and |e,m-1,n-1>) are the printed
     closed-form amplitudes built from sin/cos of (a t) and (mu t) with
@@ -131,15 +146,14 @@ def block_propagator(block: BlockParams,
 
     Consistency note: this closed form is the exact propagator of the block
     Hamiltonian with its sideband element *doubled* (coupling 2a), not of the
-    4x4 produced by ``build_block_hamiltonian`` (coupling a). The two engines
+    4x4 produced by ``hamiltonian.block_matrix`` (coupling a). The two engines
     therefore disagree whenever a != 0; the ``validate`` suite measures the
     discrepancy instead of hiding it. At the tuned protocol point
     (mu t = p pi, a t = pi/4) this closed form reproduces the GHZ targets
     exactly, which is what the protocol layer is built on.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("propagation time must be >= 0")
+    require_sample_times(np.atleast_1d(t), "propagation time")
     a, mu, omega = block.a, block.mu, block.Omega
     sa, ca = np.sin(a * t), np.cos(a * t)
     sm, cm = np.sin(mu * t), np.cos(mu * t)
@@ -215,6 +229,7 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     a reused run writes the same bytes as a cold one. H is checked for
     Hermiticity on every call.
     """
+    times = require_sample_times(times)
     h = np.asarray(h, dtype=complex)
     if h.shape != (initial.shape.total_dim,) * 2:
         raise ValueError(
@@ -227,7 +242,6 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     # every time's phase weights in one (T, D) array, exp and weighting in
     # place; then one exact product per time: a single (D x D) @ (D x T)
     # matmul would reorder the sums and move the written 12-digit outputs
-    times = np.asarray(times, dtype=float)
     weights = (-1j * evals) * times[:, None]
     np.exp(weights, out=weights)
     weights *= coeffs
@@ -274,14 +288,14 @@ def _rk4_segment(h_of_t: Callable[[float], np.ndarray], psi: np.ndarray,
 
 
 def require_resolved_step(dt: float, period: float):
-    """Refuse a step dt above the resolution guard T / 50 of a period T of
-    H(t), with a relative slack of 1e-12."""
-    dt_max = period / 50.0
+    """Refuse a step dt above the resolution guard T / STEPS_PER_PERIOD of a
+    period T of H(t), with a relative slack of 1e-12."""
+    dt_max = period / STEPS_PER_PERIOD
     if dt > dt_max * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:.3e} violates the resolution guard "
-            f"dt <= T / 50 = {dt_max:.3e} (T = {period:.3e}, the period "
-            f"of H(t))")
+            f"dt <= T / {STEPS_PER_PERIOD} = {dt_max:.3e} (T = {period:.3e}, "
+            f"the period of H(t))")
 
 
 def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
@@ -296,15 +310,14 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
         Step-size cap. Each integrated interval is subdivided uniformly so the
         actual step never exceeds dt and store times are hit exactly.
     store_times : sequence, optional
-        Finite, strictly increasing times >= 0 at which to record the
-        state (default: just 0 and t_end). Must end at t_end. Checked
-        before any step is taken.
+        Sample times at which to record the state (default: just 0 and
+        t_end), under :func:`require_sample_times`, ending at t_end.
     period : float, optional
         A period T of H(t), H(t + T) = H(t) (pi / omega_L for the
-        laser-frame model). It sets the resolution guard dt <= T / 50, and
-        since U(k T + tau) = U(tau) U(T)^k (Floquet) only one period is
-        integrated: if a store time lies at or beyond T, the identity is
-        marched over [0, T] to give U(T).
+        laser-frame model). It sets the resolution guard
+        dt <= T / STEPS_PER_PERIOD, and since U(k T + tau) = U(tau) U(T)^k
+        (Floquet) only one period is integrated: if a store time lies at or
+        beyond T, the identity is marched over [0, T] to give U(T).
 
     One march path serves every run. psi_k = U(T)^k psi0 is kept for each
     period k that holds a store time; without a period, or with every store
@@ -329,17 +342,9 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
 
     if store_times is None:
         store_times = [0.0, t_end] if t_end > 0 else [0.0]
-    store_times = np.asarray(store_times, dtype=float)
-    # checked before any step: a NaN time would become a garbage period
-    # count, a repeated one would fail only after the whole march
-    if not (store_times.ndim == 1 and len(store_times)
-            and np.all(np.isfinite(store_times))
-            and np.all(np.diff(store_times) > 0)):
-        raise ValueError("store_times must be finite and strictly increasing")
+    store_times = require_sample_times(store_times, "store_times")
     if abs(store_times[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
         raise ValueError("store_times must end at t_end")
-    if store_times[0] < 0:
-        raise ValueError("store_times must be >= 0")
 
     # period k_i of each store time and offset tau_i into it (k_i = 0 and
     # tau_i = t_i exactly without a period)

@@ -20,21 +20,22 @@ that escaped the 4-state block and the basis populations.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError, UntunedError
-from .evolution import (EvolutionResult, block_propagator, evolve_static,
-                        evolve_timedep, to_interaction_picture)
+from .evolution import (STEPS_PER_PERIOD, EvolutionResult, block_propagator,
+                        evolve_static, evolve_timedep, require_sample_times,
+                        to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
                           rotating_frame_source)
 
 MODEL_TAGS = ("block_analytic", "ld_full", "rwa_full", "lab_frame")
+BLOCK_ANALYTIC, LD_FULL, RWA_FULL, LAB_FRAME = MODEL_TAGS
 
 TUNING_RTOL = 1e-9
 POPULATION_FLOOR = 1e-6
@@ -181,13 +182,13 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
 
 def _default_lab_dt(source, period: float | None, t_end: float) -> float:
     """Step size for a lab-frame run in the laser frame: inside the
-    resolution guard T / 50 of its period T (none when there is no period:
+    resolution guard of its period T (none when there is no period:
     the Hamiltonian is static) and small enough that the accumulated RK4
     norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius of H)
     stays an order of magnitude below the 1e-6 drift limit. The unitarity
     bound of a period run, which takes the worst-damped direction and so
     reads about twice that drift, stays below the limit too."""
-    dt = period / 50.0 / 1.28 if period is not None else t_end
+    dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
     if t_end > 0:
         lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
         if lam > 0:
@@ -212,12 +213,13 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     (none at omega_L = 0: H_rot is then static). :func:`evolve_timedep`
     integrates one such period with steps of at most ``dt`` (by default the
     largest step that keeps the RK4 norm drift well inside its limit, and
-    at most T / 50 / 1.28), and one composed diagonal phase
+    at most T / STEPS_PER_PERIOD / 1.28), and one composed diagonal phase
     (:func:`to_interaction_picture`) takes the result into the interaction
-    picture. ``times`` must be strictly increasing and >= 0."""
+    picture. ``times`` are checked by :func:`require_sample_times` before
+    anything is built."""
+    times = require_sample_times(times)
     source = rotating_frame_source(params, initial.shape)
     period = lab_period(params)
-    times = np.asarray(times, dtype=float)
     t_end = float(times[-1])
     if dt is None:
         dt = _default_lab_dt(source, period, t_end)
@@ -235,7 +237,7 @@ def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
     params, shape = schedule.params, schedule.shape
     initial = basis_state(shape, *initial_label)
 
-    if model == "block_analytic":
+    if model == BLOCK_ANALYTIC:
         # target_state has already rejected labels outside the block
         labels = block_basis_labels(schedule.block.m, schedule.block.n)
         col = labels.index(initial_label)
@@ -244,13 +246,13 @@ def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
         amps[:, idx] = block_propagator(schedule.block, times)[:, :, col]
         return EvolutionResult(times, amps, shape)
 
-    if model == "ld_full":
+    if model == LD_FULL:
         result = evolve_static(build_ld_hamiltonian(params, shape),
                                initial, times)
-    elif model == "rwa_full":
+    elif model == RWA_FULL:
         result = evolve_static(build_rwa_hamiltonian(params, shape),
                                initial, times)
-    elif model == "lab_frame":
+    elif model == LAB_FRAME:
         result = evolve_lab(params, initial, times, dt)
     else:
         raise ValueError(
@@ -279,7 +281,7 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     # temporary, so an op's heap peak stays that of the per-state code
     pops = np.abs(result.amplitudes)
     np.square(pops, out=pops)
-    if model == "block_analytic":
+    if model == BLOCK_ANALYTIC:
         leakage = np.zeros(len(times))
     else:
         # summed left to right, one block state at a time
@@ -294,26 +296,6 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     for values in series:
         values.flags.writeable = False
     return ProtocolSeries(shape, *series)
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory: page size x physical pages."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def require_memory(shape: HilbertShape, model: str, n_times: int):
-    """Refuse, before anything is allocated, a run whose largest dense array
-    exceeds physical memory: the (n_times, D) complex trajectory of every
-    model, or the D x D complex Hamiltonian of ld, rwa and lab."""
-    physical = _physical_memory()
-    dim = shape.total_dim
-    need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
-    if model != "block_analytic" and 16 * dim * dim > need:
-        need, what = 16 * dim * dim, f"its {dim} x {dim} Hamiltonian"
-    if need > physical:
-        raise ConfigurationError(
-            f"shape {shape.vib_dim}x{shape.cav_dim} needs {need:,} bytes for "
-            f"{what}, more than the {physical:,} bytes of physical memory")
 
 
 def pulse_times(t_p: float, n_times: int) -> np.ndarray:

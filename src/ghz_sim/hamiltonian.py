@@ -3,18 +3,20 @@
 Four levels of approximation are built here, all in units hbar = 1 with every
 frequency an angular frequency in rad/s:
 
-* lab frame: H0 + H_int with the full operator-valued laser phase
-  exp(i eta_L (a† + a)) and standing-wave coupling sin(eta_c (a† + a) + phi),
-  explicitly time dependent through the laser phase exp(-i omega_L t); the
-  same Hamiltonian in the laser frame, exactly, where only the
-  counter-rotating cavity term stays time dependent, at 2 omega_L, and the
-  static part carries only detunings from the laser (built from the same
-  operator pieces);
-* interaction picture after the rotating-wave approximation (carrier resonant,
-  red sideband resonant): time independent, carrier dressed by the diagonal
-  operator O_0 and sideband by eta_c a† O_1;
-* its Lamb-Dicke limit, the same with undressed operators O_0 = O_1 = 1;
-* the 4x4 block restriction to {|g,m,n>, |e,m,n>, |g,m-1,n-1>, |e,m-1,n-1>}.
+* lab frame (:func:`lab_hamiltonian_source`): H0 + H_int with the full
+  operator-valued laser phase exp(i eta_L (a† + a)) and standing-wave
+  coupling sin(eta_c (a† + a) + phi), time dependent through the laser
+  phase exp(-i omega_L t); exactly the same in the laser frame
+  (:func:`rotating_frame_source`), where only the counter-rotating cavity
+  term stays time dependent, at 2 omega_L, and the static part carries only
+  detunings from the laser;
+* interaction picture after the rotating-wave approximation
+  (:func:`build_rwa_hamiltonian`; carrier and red sideband resonant): time
+  independent, carrier dressed by the diagonal operator O_0 and sideband by
+  eta_c a† O_1 (:func:`build_O_k`);
+* its Lamb-Dicke limit (:func:`build_ld_hamiltonian`), O_0 = O_1 = 1;
+* the 4x4 block (:func:`block_matrix` of a :class:`BlockParams`) on
+  {|g,m,n>, |e,m,n>, |g,m-1,n-1>, |e,m-1,n-1>}.
 
 Operator functions (exp, sin) of the quadrature eta (a† + a) are evaluated by
 eigendecomposition of the truncated quadrature. That is not exact: f(P x P)
@@ -82,24 +84,19 @@ class SystemParams:
         if self.eta_L < 0 or self.eta_c < 0:
             raise ValueError("Lamb-Dicke parameters must be >= 0")
 
-    def carrier_resonant(self) -> bool:
-        """Laser on the carrier: omega_L = omega_0."""
-        scale = max(abs(self.omega_L), abs(self.omega_0), 1.0)
-        return abs(self.omega_L - self.omega_0) <= RESONANCE_RTOL * scale
-
-    def red_sideband_resonant(self) -> bool:
-        """Cavity on the red sideband: omega_0 - omega_c = nu."""
-        scale = max(abs(self.omega_0), abs(self.omega_c), abs(self.nu), 1.0)
-        return (abs((self.omega_0 - self.omega_c) - self.nu)
-                <= RESONANCE_RTOL * scale)
-
     def require_resonances(self):
-        if not self.carrier_resonant():
+        """Refuse a laser off the carrier (omega_L = omega_0) or a cavity off
+        the red sideband (omega_0 - omega_c = nu), each to a relative
+        RESONANCE_RTOL of the largest frequency involved (at least 1)."""
+        scale = max(abs(self.omega_L), abs(self.omega_0), 1.0)
+        if abs(self.omega_L - self.omega_0) > RESONANCE_RTOL * scale:
             raise ConfigurationError(
                 "carrier condition omega_L = omega_0 violated: "
                 f"omega_L={self.omega_L!r}, omega_0={self.omega_0!r}"
             )
-        if not self.red_sideband_resonant():
+        scale = max(abs(self.omega_0), abs(self.omega_c), abs(self.nu), 1.0)
+        if (abs((self.omega_0 - self.omega_c) - self.nu)
+                > RESONANCE_RTOL * scale):
             raise ConfigurationError(
                 "red-sideband condition omega_0 - omega_c = nu violated: "
                 f"omega_0 - omega_c = {self.omega_0 - self.omega_c!r}, nu={self.nu!r}"
@@ -321,17 +318,10 @@ def block_basis_labels(m: int, n: int) -> tuple[tuple[str, int, int], ...]:
 
 def block_matrix(block: BlockParams) -> np.ndarray:
     """4x4 Lamb-Dicke Hamiltonian of one block on (|g,m,n>, |e,m,n>,
-    |g,m-1,n-1>, |e,m-1,n-1>): carrier couplings Omega, sideband coupling a."""
+    |g,m-1,n-1>, |e,m-1,n-1>): carrier couplings Omega, sideband coupling a;
+    of ``BlockParams.from_params(params, m, n)``, the LD matrix's block."""
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = block.Omega
     h[2, 3] = h[3, 2] = block.Omega
     h[0, 3] = h[3, 0] = block.a
     return h
-
-
-def build_block_hamiltonian(params: SystemParams, m: int,
-                            n: int) -> tuple[np.ndarray, BlockParams]:
-    """:func:`block_matrix` of the (m, n) block, a = g_eff eta_c sqrt(mn),
-    and its BlockParams: the restriction of :func:`build_ld_hamiltonian`."""
-    block = BlockParams.from_params(params, m, n)
-    return block_matrix(block), block

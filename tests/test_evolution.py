@@ -15,11 +15,40 @@ from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
                                to_interaction_picture)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, kron3, pauli_ops
 from ghz_sim.ghz_protocol import ghz_schedule
-from ghz_sim.hamiltonian import (BlockParams, SystemParams,
-                                 build_block_hamiltonian,
+from ghz_sim.hamiltonian import (BlockParams, SystemParams, block_matrix,
                                  build_ld_hamiltonian, lab_hamiltonian_source,
                                  rotating_frame_energies,
                                  rotating_frame_source)
+
+
+# times that break the sample-time contract, with the refusal each gets
+BAD_TIMES = [
+    ([math.nan], "must be finite and strictly increasing"),
+    ([-1.0, math.inf], "must be finite and strictly increasing"),
+    ([-2.0, -1.0], "must be >= 0"),
+    ([0.0, 1.0, 1.0], "must be finite and strictly increasing"),
+    ([], "must be finite and strictly increasing"),
+]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Start from an empty memo; count np.linalg.eigh calls and check
+    that every earlier eigensystem is freed before each one runs."""
+    calls, earlier = [], []
+    eigh = np.linalg.eigh
+
+    def spy(h, *args, **kwargs):
+        assert evolution._held is None
+        assert all(vecs() is None for vecs in earlier)
+        calls.append(h.shape)
+        evals, vecs = eigh(h, *args, **kwargs)
+        earlier.append(weakref.ref(vecs))
+        return evals, vecs
+
+    monkeypatch.setattr(evolution, "_held", None)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
 
 
 def make_block(omega, a):
@@ -71,7 +100,7 @@ class TestBlockPropagator:
     def test_permutation_commutes_with_block_matrix_exactly(self):
         params = scaled_params(Omega=1.3, eta_c=0.21, g=2.7)
         for m, n in ((1, 1), (2, 3)):
-            h, _ = build_block_hamiltonian(params, m, n)
+            h = block_matrix(BlockParams.from_params(params, m, n))
             assert np.array_equal(BLOCK_PERMUTATION @ h, h @ BLOCK_PERMUTATION)
 
     def test_propagator_commutes_with_permutation(self):
@@ -92,7 +121,7 @@ class TestBlockPropagator:
             assert np.max(np.abs(u - u_ref)) < 1e-12
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="propagation time must be >= 0"):
             block_propagator(make_block(1.0, 0.3), -0.1)
 
     @settings(deadline=None, max_examples=25)
@@ -179,9 +208,24 @@ class TestBlockPropagatorArray:
                               block_propagator_per_time(block, 2.3))
 
     def test_one_negative_time_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
+        # a grid of sample times, so a negative one after 0.5 breaks the
+        # increase before the sign is looked at
+        with pytest.raises(ValueError, match="strictly increasing"):
             block_propagator(make_block(1.0, 0.3),
                              np.array([0.0, 0.5, -1e-12, 1.0]))
+
+    @pytest.mark.parametrize("times, message", BAD_TIMES)
+    def test_bad_times_are_refused(self, times, message):
+        with pytest.raises(ValueError, match="propagation time " + message):
+            block_propagator(make_block(1.0, 0.3), np.array(times))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_bad_scalar_time_is_refused(self, t):
+        # NaN compares False against 0, so a sign test alone returned a
+        # NaN matrix for it
+        with pytest.raises(ValueError, match="propagation time must be "
+                                             "finite and strictly increasing"):
+            block_propagator(make_block(1.0, 0.3), t)
 
 
 class TestEvolveStatic:
@@ -269,33 +313,23 @@ class TestEvolveStatic:
 
     def test_times_must_increase(self):
         shape = HilbertShape(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             evolve_static(np.zeros((2, 2), dtype=complex),
                           basis_state(shape, "g", 0, 0), [0.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("times, message", BAD_TIMES)
+    def test_bad_times_are_refused_before_eigh(self, times, message,
+                                               eigh_calls):
+        shape = HilbertShape(1, 1)
+        with pytest.raises(ValueError, match="times " + message):
+            evolve_static(np.zeros((2, 2), dtype=complex),
+                          basis_state(shape, "g", 0, 0), times)
+        assert eigh_calls == []
 
 
 class TestEigensystemReuse:
     """evolve_static diagonalises each distinct H once: the held eigensystem
     is keyed on every bit of H, and a reused run equals a cold one."""
-
-    @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        """Start from an empty memo; count np.linalg.eigh calls and check
-        that every earlier eigensystem is freed before each one runs."""
-        calls, earlier = [], []
-        eigh = np.linalg.eigh
-
-        def spy(h, *args, **kwargs):
-            assert evolution._held is None
-            assert all(vecs() is None for vecs in earlier)
-            calls.append(h.shape)
-            evals, vecs = eigh(h, *args, **kwargs)
-            earlier.append(weakref.ref(vecs))
-            return evals, vecs
-
-        monkeypatch.setattr(evolution, "_held", None)
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        return calls
 
     @staticmethod
     def run(h):
@@ -412,6 +446,16 @@ class TestEvolutionResult:
             EvolutionResult([0.0, 1.0], np.zeros((3, 8)), shape)
         with pytest.raises(ValueError):
             EvolutionResult([0.0, 1.0], np.zeros((2, 9)), shape)
+
+    @pytest.mark.parametrize("times, message", BAD_TIMES)
+    def test_bad_times_are_refused(self, times, message):
+        with pytest.raises(ValueError, match="times " + message):
+            EvolutionResult(times, np.zeros((len(times), 2)),
+                            HilbertShape(1, 1))
+
+    def test_two_dimensional_times_are_refused(self):
+        with pytest.raises(ValueError, match="times must be one-dimensional"):
+            EvolutionResult([[0.0, 1.0]], np.zeros((1, 2)), HilbertShape(1, 1))
 
 
 def free_params():

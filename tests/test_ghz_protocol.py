@@ -338,6 +338,23 @@ class TestRunProtocol:
             protocol_timeseries(schedule, ("g", 0, 0), "block_analytic",
                                 times)
 
+    @pytest.mark.parametrize("model", ["block_analytic", "ld_full",
+                                       "rwa_full", "lab_frame"])
+    @pytest.mark.parametrize("times", [[math.nan], [0.0, math.inf], []])
+    def test_non_finite_or_empty_times_are_refused_before_any_work(
+            self, monkeypatch, model, times):
+        # a NaN time once came back from the block and ld models as NaN
+        # amplitudes, with no error; no Hamiltonian is diagonalised now
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+        schedule = ghz_schedule(scaled_params(), shape=HilbertShape(3, 3))
+        with pytest.raises(ValueError,
+                           match="must be finite and strictly increasing"):
+            protocol_timeseries(schedule, ("g", 0, 0), model, times)
+
     def test_target_marginals_maximally_mixed(self):
         shape = HilbertShape(2, 2)
         for initial in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import o_k_oracle, scaled_params
 from ghz_sim.errors import ConfigurationError
 from ghz_sim.fock_core import HilbertShape, kron3, ladder_ops, pauli_ops
-from ghz_sim.hamiltonian import (SystemParams, _quadrature_functions,
-                                 build_block_hamiltonian,
+from ghz_sim.hamiltonian import (BlockParams, SystemParams,
+                                 _quadrature_functions, block_matrix,
                                  build_ld_hamiltonian, build_O_k,
                                  build_rwa_hamiltonian, effective_coupling,
                                  lab_hamiltonian_source, rotating_frame_source)
@@ -398,7 +398,8 @@ class TestBlockHamiltonian:
         # Omega = 1, g eta_c = 1/sqrt(15): nonzeros (0,1) = (2,3) = 1 and
         # (0,3) = 1/sqrt(15)
         params = scaled_params(Omega=1.0, eta_c=0.05)
-        h, block = build_block_hamiltonian(params, 1, 1)
+        block = BlockParams.from_params(params, 1, 1)
+        h = block_matrix(block)
         assert h[0, 1] == 1.0 and h[2, 3] == 1.0
         assert h[0, 3].real == pytest.approx(1.0 / math.sqrt(15.0), rel=1e-12)
         assert np.count_nonzero(h) == 6
@@ -407,7 +408,8 @@ class TestBlockHamiltonian:
 
     def test_omega_zero_single_sideband_oscillation(self):
         params = scaled_params(Omega=0.0, eta_c=0.1, g=3.0)
-        h, block = build_block_hamiltonian(params, 1, 1)
+        block = BlockParams.from_params(params, 1, 1)
+        h = block_matrix(block)
         assert h[0, 1] == 0.0 and h[2, 3] == 0.0
         assert h[0, 3] == pytest.approx(block.a, abs=0)
         freqs = np.linalg.eigvalsh(h)
@@ -416,10 +418,10 @@ class TestBlockHamiltonian:
 
     def test_invalid_block_indices(self):
         params = scaled_params()
-        with pytest.raises(ValueError):
-            build_block_hamiltonian(params, 0, 1)
-        with pytest.raises(ValueError):
-            build_block_hamiltonian(params, 1, 0)
+        with pytest.raises(ValueError, match="block indices"):
+            BlockParams.from_params(params, 0, 1)
+        with pytest.raises(ValueError, match="block indices"):
+            BlockParams.from_params(params, 1, 0)
 
 
 class TestEffectiveCoupling:
@@ -445,11 +447,17 @@ class TestSystemParams:
             scaled_params(eta_c=-0.1)
 
     def test_resonance_flags(self):
+        # resonant, detuned and within the relative 1e-9 tolerance, through
+        # require_resonances, the one place the two conditions are checked
         params = scaled_params()
-        assert params.carrier_resonant()
-        assert params.red_sideband_resonant()
-        detuned = SystemParams(**{**params.__dict__, "omega_c": params.omega_c * 1.001})
-        assert not detuned.red_sideband_resonant()
+        params.require_resonances()
+        for key, message in (("omega_L", "carrier condition"),
+                             ("omega_c", "red-sideband condition")):
+            value = getattr(params, key)
+            replace(params, **{key: value * (1 + 1e-10)}).require_resonances()
+            for factor in (1.001, 1 + 2e-8):
+                with pytest.raises(ConfigurationError, match=message):
+                    replace(params, **{key: value * factor}).require_resonances()
 
 
 @settings(deadline=None, max_examples=20)
@@ -462,5 +470,5 @@ def test_every_builder_hermitian(omega, g, eta_l, eta_c, phi):
     for h in (build_rwa_hamiltonian(params, shape),
               build_ld_hamiltonian(params, shape),
               lab_hamiltonian_source(params, shape)(0.31),
-              build_block_hamiltonian(params, 1, 1)[0]):
+              block_matrix(BlockParams.from_params(params, 1, 1))):
         assert np.max(np.abs(h - h.conj().T)) < 1e-12

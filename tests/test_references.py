@@ -4,30 +4,16 @@ sweep per sweep model at 16x16, run through ``cli.main`` the way the
 benchmark runs them and checked by its own ``pulse_check`` / ``sweep_check``
 against ``perfbench/references.json``."""
 
-import importlib.util
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import load_perfbench
 from ghz_sim.cli import main
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = load_workloads()
+workloads = load_perfbench("workloads")
 REFS = workloads.load_references()
 
 
