@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
-from .evolution import require_resolved_step
+from .evolution import require_resolved_step, require_sample_times
 from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
                            ProtocolSchedule, ghz_schedule, lab_period,
                            parse_label, protocol_timeseries, pulse_times)
@@ -398,8 +398,9 @@ def require_stepped(model: str, what: str, consequence: str):
 def resolve_run(config: dict) -> Run:
     """Check a loaded config and turn it into one run, allocating nothing
     large and evolving nothing; a null g tunes the coupling, a number is
-    held as given, a dt is refused on a static model, and a lab dt must
-    resolve the period of H(t)."""
+    held as given, a dt is refused on a static model, a lab dt must
+    resolve the period of H(t), and the pulse must hold n_times distinct
+    samples."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -422,8 +423,15 @@ def resolve_run(config: dict) -> Run:
                         "it would be ignored")
         if period is not None:
             require_resolved_step(dt, period)
-    return Run(schedule, initial, model, pulse_times(schedule.t_p, n_times),
-               dt)
+    times = pulse_times(schedule.t_p, n_times)
+    try:
+        require_sample_times(times)
+    except ValueError:
+        raise ConfigurationError(
+            f"the pulse time t = {schedule.t_p!r} s is too short for "
+            f"n_times = {n_times} distinct samples; the config keys t and "
+            f"n_times must give a strictly increasing time grid") from None
+    return Run(schedule, initial, model, times, dt)
 
 
 def cmd_ghz(args) -> int:

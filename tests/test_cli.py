@@ -348,6 +348,21 @@ class TestExitCodes:
         assert "config key t" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("model", ["block", "ld"])
+    def test_pulse_too_short_for_its_samples_exits_two(self, tmp_path,
+                                                      capsys, model):
+        # linspace(0, 1e-322, 101) repeats subnormal samples
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"units": "si", "t": 1e-322}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--model", model, "--shape", "2x2", "--config",
+                     str(cfg), "--output", str(out_file))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t = 1e-322 s is too short for n_times = 101" in err
+        assert "config keys t and n_times" in err
+        assert not out_file.exists()
+
     def test_sweep_too_few_samples_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "short.json"
         cfg.write_text(json.dumps({"n_times": 1}))
@@ -535,9 +550,16 @@ class TestSweepCommand:
     def test_each_distinct_hamiltonian_is_diagonalised_once(
             self, tmp_path, monkeypatch, model, axis, values, eighs):
         # tuned, g cos(phi) eta_c is pinned: the ld eta_c points build two
-        # distinct matrices (the product rounds two ways), the phi points one
+        # distinct matrices (the product rounds two ways), the phi points
+        # one; each matrix runs at one t_p from g,0,0, so the points under
+        # it repeat one run
         eigh, evolve = np.linalg.eigh, cli.protocol_timeseries
-        calls, ran = [], []
+        result = evolution.EvolutionResult
+        calls, ran, evolved = [], [], []
+
+        def result_spy(*args, **kwargs):
+            evolved.append(args[0])
+            return result(*args, **kwargs)
 
         def eigh_spy(h, *args, **kwargs):
             calls.append(h.shape)
@@ -549,12 +571,14 @@ class TestSweepCommand:
 
         monkeypatch.setattr(evolution, "_held", None)
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(evolution, "EvolutionResult", result_spy)
         monkeypatch.setattr(cli, "protocol_timeseries", run_spy)
         out_file = tmp_path / "s.csv"
         assert run_cli("sweep", axis, ",".join(map(str, values)), "--model",
                        model, "--shape", "16x16",
                        "--output", str(out_file)) == 0
         assert len(calls) == eighs
+        assert len(evolved) == eighs
         assert sorted(ran) == sorted(values)
         columns, rows = read_table(str(out_file))
         assert [r[columns.index(axis)] for r in rows] == list(values)

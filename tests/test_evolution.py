@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -49,6 +50,21 @@ def eigh_calls(monkeypatch):
     monkeypatch.setattr(evolution, "_held", None)
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return calls
+
+
+@pytest.fixture
+def evolutions(monkeypatch):
+    """Count the EvolutionResults evolve_static builds: one per run it
+    evolves, none for a run it returns again."""
+    built = []
+    result = evolution.EvolutionResult
+
+    def spy(*args, **kwargs):
+        built.append(args[0])
+        return result(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "EvolutionResult", spy)
+    return built
 
 
 def make_block(omega, a):
@@ -392,20 +408,166 @@ class TestEigensystemReuse:
     def test_one_read_only_eigensystem_is_held(self, eigh_calls):
         # the spy asserts the first pair is freed before the second eigh
         self.run(self.ld_matrix())
-        *_, evals, vecs = evolution._held
+        evals, vecs = evolution._held["evals"], evolution._held["vecs"]
         assert not evals.flags.writeable and not vecs.flags.writeable
         del evals, vecs
         self.run(build_ld_hamiltonian(scaled_params(Omega=2.0),
                                       HilbertShape(3, 3)))
         assert len(eigh_calls) == 2
 
-    def test_hermiticity_is_checked_on_every_call(self, eigh_calls):
+    def test_hermiticity_is_checked_once_per_distinct_hamiltonian(
+            self, eigh_calls, monkeypatch):
+        checked = []
+        check = evolution._require_hermitian_at
+
+        def spy(h, index):
+            checked.append(h.shape)
+            return check(h, index)
+
+        monkeypatch.setattr(evolution, "_require_hermitian_at", spy)
         h = self.ld_matrix()
         self.run(h)
+        self.run(h.copy())
+        assert len(checked) == 1
         h[0, 9] += 1.0
         with pytest.raises(ModelError):
             self.run(h)
+        assert len(checked) == 2
         assert len(eigh_calls) == 1
+
+
+class TestRunReuse:
+    """evolve_static returns its last result again when H, the initial
+    amplitudes and the times all repeat bit for bit; any other run
+    evolves."""
+
+    SHAPE = HilbertShape(3, 3)
+    TIMES = np.linspace(0.0, 5.0, 11)
+
+    def h(self):
+        return build_ld_hamiltonian(scaled_params(Omega=1.0), self.SHAPE)
+
+    def evolve(self, h, label=("g", 0, 0), times=TIMES):
+        return evolve_static(h, basis_state(self.SHAPE, *label), times)
+
+    def test_a_repeated_run_is_returned_again(self, eigh_calls, evolutions):
+        first = self.evolve(self.h())
+        again = self.evolve(self.h(), times=list(self.TIMES))
+        assert again is first
+        assert len(eigh_calls) == 1 and len(evolutions) == 1
+
+    @pytest.mark.parametrize("change", ["initial", "times", "h_in_place"])
+    def test_a_changed_run_evolves_again(self, eigh_calls, evolutions,
+                                         change):
+        h, label, times = self.h(), ("g", 0, 0), self.TIMES.copy()
+        first = self.evolve(h, label, times)
+        if change == "initial":
+            label = ("e", 0, 0)
+        elif change == "times":
+            times[-1] = np.nextafter(times[-1], np.inf)
+        else:
+            h[0, 9] *= 2.0
+            h[9, 0] *= 2.0
+        second = self.evolve(h, label, times)
+        assert second is not first
+        assert len(evolutions) == 2
+        assert len(eigh_calls) == (2 if change == "h_in_place" else 1)
+        evolution._held = None
+        assert np.array_equal(second.amplitudes,
+                              self.evolve(h, label, times).amplitudes)
+
+    def test_another_shape_of_the_same_dimension_evolves_again(
+            self, eigh_calls, evolutions):
+        # H = 0 has the same bits on 2x3 and 3x2, and so has |g,0,0>
+        h = np.zeros((12, 12), dtype=complex)
+        first = evolve_static(h, basis_state(HilbertShape(2, 3), "g", 0, 0),
+                              self.TIMES)
+        second = evolve_static(h, basis_state(HilbertShape(3, 2), "g", 0, 0),
+                               self.TIMES)
+        assert second is not first
+        assert second.shape == HilbertShape(3, 2)
+        assert len(eigh_calls) == 1 and len(evolutions) == 2
+
+    def test_the_held_result_does_not_follow_the_callers_times(
+            self, eigh_calls, evolutions):
+        times = self.TIMES.copy()
+        first = self.evolve(self.h(), times=times)
+        times *= 2.0
+        assert np.array_equal(first.times, self.TIMES)
+        assert self.evolve(self.h(), times=self.TIMES) is first
+        assert self.evolve(self.h(), times=times) is not first
+        assert len(evolutions) == 2
+
+    def test_the_reused_result_is_read_only(self, eigh_calls, evolutions):
+        self.evolve(self.h())
+        result = self.evolve(self.h())
+        assert len(evolutions) == 1
+        for values in (result.times, result.amplitudes,
+                       result.truncation_leak, result.norms):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+
+def dense_deviation(h):
+    return float(np.max(np.abs(h - h.conj().T)))
+
+
+def word_index(h):
+    return np.flatnonzero(h.view(np.uint64).ravel())
+
+
+class TestHermiticityCheck:
+    """The check reads max |H - H†| off the pairs of H's nonzero words: the
+    dense float bit for bit, and a non-finite entry is refused before any
+    subtraction."""
+
+    @staticmethod
+    def hermitian(sparse):
+        if sparse:
+            return build_ld_hamiltonian(scaled_params(Omega=1.0),
+                                        HilbertShape(3, 3))
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18))
+        return h + h.conj().T
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("perturbation", ["entry", "pair", "row"])
+    def test_sparse_deviation_is_the_dense_one(self, sparse, perturbation):
+        h = self.hermitian(sparse)
+        if perturbation == "entry":
+            h[2, 13] += 3e-10
+        elif perturbation == "pair":
+            h[2, 13] += 3e-10
+            h[13, 2] += 1e-10j
+        else:
+            h[4] += np.linspace(-4e-10, 4e-10, 18) * (1 + 0.5j)
+        dense = dense_deviation(h)
+        assert dense > 0
+        got = evolution._require_hermitian_at(h, word_index(h))
+        assert np.float64(got).tobytes() == np.float64(dense).tobytes()
+
+    def test_an_exact_hermitian_matrix_deviates_by_zero(self):
+        for h in (self.hermitian(True), np.zeros((4, 4), dtype=complex)):
+            assert evolution._require_hermitian_at(h, word_index(h)) == 0.0
+
+    def test_a_deviation_above_the_tolerance_is_refused(self):
+        h = self.hermitian(True)
+        h[2, 13] += 1e-6
+        with pytest.raises(ModelError,
+                           match=r"max \|H - H†\| = 1\.000e-06"):
+            evolution.require_hermitian(h)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
+                                       complex(0, math.nan),
+                                       complex(1.0, math.inf)])
+    def test_non_finite_entries_are_refused_without_a_warning(self, entry):
+        h = self.hermitian(True)
+        h[3, 3] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="not Hermitian"):
+                evolution.require_hermitian(h)
 
 
 def random_rows(shape, n_rows, seed):

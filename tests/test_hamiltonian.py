@@ -361,36 +361,49 @@ class TestLdHamiltonian:
         assert ratio == pytest.approx(4.0, abs=0.8)
 
 
-def out_of_place_dressed(params, shape, o0, o1):
-    """The dressed assembly as one expression, carrier + sideband +
-    sideband†, each term a fresh array: the reference for the in-place
-    builder."""
+def kron3_dressed(params, shape, o0, o1):
+    """The dressed Hamiltonian assembled on the full space from kron3
+    products, in place, carrier, then + sideband, then + sideband†: the
+    reference for the builder, which assembles it by ion block."""
     a_low, _ = ladder_ops(shape.vib_dim)
     b_low, _ = ladder_ops(shape.cav_dim)
     _, sp, sm = pauli_ops()
     g_eff = effective_coupling(params.g, params.phi)
-    carrier = params.Omega * kron3(sp + sm, o0,
-                                   np.eye(shape.cav_dim, dtype=complex))
-    sideband_up = g_eff * params.eta_c * kron3(sp, o1 @ a_low, b_low)
-    return carrier + sideband_up + sideband_up.conj().T
+    h = kron3(sp + sm, o0, np.eye(shape.cav_dim, dtype=complex))
+    h *= params.Omega
+    side = kron3(sp, o1 @ a_low, b_low)
+    side *= g_eff * params.eta_c
+    h += side
+    h += side.conj().T
+    return h
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 6), (10, 10), (16, 16)])
-@pytest.mark.parametrize("phi", [0.0, 0.3])
-@pytest.mark.parametrize("eta", [0.02, 0.05, 0.1, 0.3])
-def test_in_place_assembly_is_bitwise_the_out_of_place_sum(eta, phi, dims):
+# the benchmark's eta_c menu and two strongly dressed values; eta_L = 1.5
+# gives negative O_0 entries, phi = 2 a negative g_eff: together they make
+# the full assembly write -0.0 into the ion-diagonal blocks
+ASSEMBLY_ETA_C = (0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10,
+                  0.3, 0.9)
+ASSEMBLY_ETA_L = (0.05, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 5), (6, 6),
+                                  (10, 10), (16, 16)])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("eta_c", ASSEMBLY_ETA_C)
+def test_block_assembly_is_bitwise_the_kron3_assembly(eta_c, phi, dims):
     # equal bits, sign of zero included: evolve_static keys its reuse on them
-    params = scaled_params(eta_c=eta, eta_L=eta, phi=phi)
     shape = HilbertShape(*dims)
     eye = np.eye(shape.vib_dim, dtype=complex)
-    for built, o0, o1 in (
-            (build_ld_hamiltonian(params, shape), eye, eye),
-            (build_rwa_hamiltonian(params, shape),
-             build_O_k(0, eta, shape.vib_dim),
-             build_O_k(1, eta, shape.vib_dim))):
-        expected = out_of_place_dressed(params, shape, o0, o1)
-        assert np.array_equal(built.view(np.uint64),
-                              expected.view(np.uint64))
+    for eta_L in ASSEMBLY_ETA_L:
+        params = scaled_params(eta_c=eta_c, eta_L=eta_L, phi=phi)
+        for built, o0, o1 in (
+                (build_ld_hamiltonian(params, shape), eye, eye),
+                (build_rwa_hamiltonian(params, shape),
+                 build_O_k(0, eta_L, shape.vib_dim),
+                 build_O_k(1, eta_c, shape.vib_dim))):
+            expected = kron3_dressed(params, shape, o0, o1)
+            assert np.array_equal(built.view(np.uint64),
+                                  expected.view(np.uint64)), eta_L
 
 
 class TestBlockHamiltonian:
