@@ -11,11 +11,10 @@ from .fock_core import (HilbertShape, QuantumState, basis_state, kron3,
                         ladder_ops, partial_trace, pauli_ops)
 from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
                            evolve_lab, fidelity, ghz_schedule,
-                           protocol_timeseries, run_protocol, target_state,
-                           tune_coupling)
+                           protocol_timeseries, target_state, tune_coupling)
 from .hamiltonian import (BlockParams, SystemParams, block_matrix,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian, effective_coupling,
-                          lab_hamiltonian_source, rotating_frame_source)
+                          rotating_frame_source)
 
 __version__ = "0.1.0"

@@ -106,8 +106,21 @@ def parse_shape(text: str) -> HilbertShape:
     try:
         vib, cav = text.lower().split("x")
         return HilbertShape(vib_dim=int(vib), cav_dim=int(cav))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, AttributeError):
         raise ConfigurationError(f"bad shape {text!r}, expected e.g. '6x6'")
+
+
+def config_float(value) -> float | None:
+    """A config value as a float when it is a JSON number or a numeric
+    string; None for anything else: null, true or false (JSON booleans
+    are not numbers here), a list, an object, any other string, or an
+    integer too large for a float."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def build_params(config: dict) -> tuple[SystemParams, bool]:
@@ -117,14 +130,19 @@ def build_params(config: dict) -> tuple[SystemParams, bool]:
         raise ConfigurationError(f"units must be 'mhz' or 'si', got {units!r}")
     scale = MHZ if units == "mhz" else 1.0
     tune = config["g"] is None
-    values = {}
-    for key in FREQ_KEYS:
-        raw = config[key]
-        values[key] = 0.0 if raw is None else float(raw) * scale
+
+    def number(key: str) -> float:
+        value = config_float(config[key])
+        if value is None:
+            raise ConfigurationError(
+                f"{key} must be a number, got {config[key]!r}")
+        return value
+
+    values = {key: 0.0 if config[key] is None else number(key) * scale
+              for key in FREQ_KEYS}
+    values.update((key, number(key)) for key in ("eta_L", "eta_c", "phi"))
     try:
-        params = SystemParams(eta_L=float(config["eta_L"]),
-                              eta_c=float(config["eta_c"]),
-                              phi=float(config["phi"]), **values)
+        params = SystemParams(**values)
     except ValueError as exc:
         raise ConfigurationError(str(exc))
     return params, tune
@@ -134,11 +152,8 @@ def config_time(config: dict, key: str) -> float | None:
     raw = config.get(key)
     if raw is None:
         return None
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    value = config_float(raw)
+    if value is None or not (math.isfinite(value) and value > 0):
         raise ConfigurationError(
             f"{key} must be a finite number > 0, got {raw!r}")
     scale = US if config.get("units", "mhz") == "mhz" else 1.0
@@ -166,7 +181,7 @@ def require_memory(shape: HilbertShape, model: str, n_times: int):
 
 
 def resolve_model(name: str) -> str:
-    if name in MODEL_ALIASES:
+    if isinstance(name, str) and name in MODEL_ALIASES:
         return MODEL_ALIASES[name]
     if name in MODEL_TAGS:
         return name
@@ -360,17 +375,17 @@ def _run_config(args) -> dict:
     if config["format"] not in FORMATS:
         raise ConfigurationError(f"unknown output format {config['format']!r}; "
                                  f"choose from {list(FORMATS)}")
+    if not (isinstance(config["output"], str) and config["output"]):
+        raise ConfigurationError(
+            f"output must be a file path, got {config['output']!r}")
     return config
 
 
 def whole_number(name: str, value) -> int:
     """``value`` as an int when it is a whole number (1, 2.0, "3"); otherwise
     a ConfigurationError that names ``name``, never a silent truncation."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not number.is_integer():
+    number = config_float(value)
+    if number is None or not number.is_integer():
         raise ConfigurationError(
             f"{name} must be a whole number, got {value!r}")
     return int(number)

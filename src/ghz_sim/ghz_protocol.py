@@ -50,10 +50,14 @@ def format_label(label: Label) -> str:
 
 
 def parse_label(text: str) -> Label:
-    parts = text.split(",")
-    if len(parts) != 3 or parts[0] not in ("g", "e"):
-        raise ValueError(f"bad state label {text!r}, expected e.g. 'g,0,0'")
-    return (parts[0], int(parts[1]), int(parts[2]))
+    parts = text.split(",") if isinstance(text, str) else []
+    if len(parts) == 3 and parts[0] in ("g", "e"):
+        try:
+            return (parts[0], int(parts[1]), int(parts[2]))
+        except ValueError:
+            pass
+    raise ConfigurationError(
+        f"bad initial state label {text!r}, expected e.g. 'g,0,0'")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,8 @@ class ProtocolSchedule:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Score of one protocol run at a single time: one ProtocolSeries row."""
+    """Score of one protocol run at a single time: one ProtocolSeries row,
+    as :attr:`ProtocolSeries.final` gives the last one."""
 
     fidelity: float
     block_leakage: float
@@ -304,16 +309,4 @@ def pulse_times(t_p: float, n_times: int) -> np.ndarray:
         raise ConfigurationError(f"n_times must be >= 2 (the series runs "
                                  f"from t = 0 to t_p), got {n_times}")
     return np.linspace(0.0, t_p, n_times)
-
-
-def run_protocol(schedule: ProtocolSchedule, initial_label: Label, model: str,
-                 dt: float | None = None, n_times: int = 101) -> FidelityReport:
-    """Evolve the initial state to t_p under the chosen model and score it.
-
-    The run is sampled on :func:`pulse_times` so the truncation diagnostic
-    sees the whole trajectory; the report scores the final sample.
-    """
-    times = pulse_times(schedule.t_p, n_times)
-    return protocol_timeseries(schedule, initial_label, model, times,
-                               dt=dt).final
 

@@ -2,7 +2,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import scipy.linalg
+
 from ghz_sim.checks import _o_k_entry_laguerre
+from ghz_sim.fock_core import kron3
 from ghz_sim.ghz_protocol import tune_coupling
 from ghz_sim.hamiltonian import SystemParams
 
@@ -24,6 +28,38 @@ def scaled_params(Omega=8.95e6, eta_c=0.05, eta_L=0.05, g=None, phi=0.0,
 # exp(-eta^2/2) m!/(m+k)! L_m^(k)(eta^2) shared with the validate suite, not a
 # copy of the production series
 o_k_oracle = _o_k_entry_laguerre
+
+
+def lab_reference(params, shape):
+    """The lab-frame Hamiltonian H(t) = H0 + H_int(t) as a callable of t, the
+    reference the package's laser-frame source is checked against. Assembled
+    independently: test-local ladder matrices and scipy.linalg.expm (Pade)
+    for the operator exponential and sine. The static part and the laser
+    term are built once, so a call only applies the laser phase
+    exp(-i omega_L t)."""
+    M, N = shape.vib_dim, shape.cav_dim
+    alow = np.diag(np.sqrt(np.arange(1, M)), k=1).astype(complex)
+    blow = np.diag(np.sqrt(np.arange(1, N)), k=1).astype(complex)
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    x = alow + alow.conj().T
+    h0 = (params.nu * kron3(np.eye(2), alow.conj().T @ alow + 0.5 * np.eye(M),
+                            np.eye(N))
+          + params.omega_c * kron3(np.eye(2), np.eye(M), blow.conj().T @ blow)
+          + 0.5 * params.omega_0 * kron3(sz, np.eye(M), np.eye(N)))
+    exp_op = scipy.linalg.expm(1j * params.eta_L * x)
+    arg = params.eta_c * x + params.phi * np.eye(M)
+    sin_op = (scipy.linalg.expm(1j * arg) - scipy.linalg.expm(-1j * arg)) / 2j
+    cavity = params.g * kron3(sp + sp.conj().T, sin_op, blow + blow.conj().T)
+    h_static = h0 + cavity
+    laser_up = params.Omega * kron3(sp, exp_op, np.eye(N))
+    laser_down = laser_up.conj().T
+
+    def h_of_t(t):
+        phase = np.exp(-1j * params.omega_L * t)
+        return h_static + phase * laser_up + np.conj(phase) * laser_down
+
+    return h_of_t
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

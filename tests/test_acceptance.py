@@ -15,14 +15,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from conftest import scaled_params
+from conftest import lab_reference, scaled_params
 from ghz_sim.cli import main as cli_main
 from ghz_sim.evolution import block_propagator, evolve_static, evolve_timedep
 from ghz_sim.fock_core import HilbertShape, basis_state, partial_trace
 from ghz_sim.ghz_protocol import (ghz_schedule, protocol_timeseries,
-                                  run_protocol, target_state, tune_coupling)
+                                  pulse_times, target_state, tune_coupling)
 from ghz_sim.hamiltonian import (BlockParams, build_ld_hamiltonian,
-                                 build_rwa_hamiltonian, lab_hamiltonian_source)
+                                 build_rwa_hamiltonian)
 
 SEED = 20260808
 
@@ -149,7 +149,8 @@ def test_criterion_07_full_model_truncation_convergence():
     for dim in (6, 8):
         shape = HilbertShape(dim, dim)
         schedule = ghz_schedule(params, shape=shape)
-        rep = run_protocol(schedule, ("g", 0, 0), "ld_full")
+        rep = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                  pulse_times(schedule.t_p, 101)).final
         fids.append(rep.fidelity)
         leaks.append(rep.block_leakage)
         norms.append(rep.norm)
@@ -203,7 +204,7 @@ def test_criterion_09_node_offset_compensation():
 def test_criterion_10_integrator_quality():
     params = scaled_params(Omega=1.0, nu_ratio=3.0, omega0_ratio=5.0)
     shape = HilbertShape(2, 2)
-    source = lab_hamiltonian_source(params, shape)
+    source = lab_reference(params, shape)
     psi0 = basis_state(shape, "g", 0, 0)
     t_end = 0.5
 

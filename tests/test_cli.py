@@ -17,7 +17,7 @@ from ghz_sim.evolution import block_propagator
 from ghz_sim import ghz_protocol
 from ghz_sim.fock_core import ION_LABELS, HilbertShape
 from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ghz_schedule,
-                                  run_protocol)
+                                  protocol_timeseries, pulse_times)
 from ghz_sim.hamiltonian import block_basis_labels
 
 from conftest import scaled_params
@@ -335,6 +335,35 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown output format 'xml'" in capsys.readouterr().err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", [("ghz",), ("sweep", "cav_dim", "6")])
+    @pytest.mark.parametrize("config, message", [
+        ({"eta_L": None}, "eta_L must be a number, got None"),
+        ({"eta_c": None}, "eta_c must be a number, got None"),
+        ({"Omega": [1]}, "Omega must be a number, got [1]"),
+        ({"phi": "x"}, "phi must be a number, got 'x'"),
+        ({"shape": 66}, "bad shape 66"),
+        ({"initial": None}, "bad initial state label None"),
+        ({"p": True}, "p must be a whole number, got True"),
+        ({"model": []}, "unknown model []"),
+        ({"output": None}, "output must be a file path, got None"),
+        ({"output": ""}, "output must be a file path, got ''")])
+    def test_config_value_of_a_wrong_type_exits_two_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command, config, message):
+        # each once crashed with a traceback and exit 1 (an empty output
+        # exited 2), an output only after the whole pulse had run; the
+        # message did not name phi; true was taken as p = 1
+        def engine(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(ghz_protocol, "_evolve_states", engine)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(config))
+        output = () if "output" in config else ("--output", "x.csv")
+        assert run_cli(*command, "--config", str(cfg), *output) == 2
+        assert message in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["typed.json"]
 
     def test_sweep_config_t_exits_two(self, tmp_path, capsys):
         # every sweep point runs its own scheduled pulse; an explicit t
@@ -680,9 +709,10 @@ class TestSweepCommand:
         reports = {}
         for vib in (6, 5):
             shape = HilbertShape(vib, 6)
-            reports[vib] = (shape, run_protocol(
-                ghz_schedule(params, shape=shape, tune=True), ("g", 0, 0),
-                "ld_full"))
+            schedule = ghz_schedule(params, shape=shape, tune=True)
+            reports[vib] = (shape, protocol_timeseries(
+                schedule, ("g", 0, 0), "ld_full",
+                pulse_times(schedule.t_p, 101)).final)
         union = sorted({lbl for shape, rep in reports.values()
                         for lbl in shape.labels()
                         if rep.populations[shape.index(*lbl)] > 0.0},

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_params
+from conftest import lab_reference, scaled_params
 from ghz_sim import evolution
 from ghz_sim.errors import AccuracyError, ConfigurationError, ModelError
 from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
@@ -17,8 +17,7 @@ from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, kron3, pauli_ops
 from ghz_sim.ghz_protocol import ghz_schedule
 from ghz_sim.hamiltonian import (BlockParams, SystemParams, block_matrix,
-                                 build_ld_hamiltonian, lab_hamiltonian_source,
-                                 rotating_frame_energies,
+                                 build_ld_hamiltonian, rotating_frame_energies,
                                  rotating_frame_source)
 
 
@@ -629,7 +628,7 @@ def free_params():
 def mild_lab_source():
     params = scaled_params(Omega=1.0, nu_ratio=3.0, omega0_ratio=5.0)
     shape = HilbertShape(2, 2)
-    return params, shape, lab_hamiltonian_source(params, shape)
+    return params, shape, lab_reference(params, shape)
 
 
 class TestEvolveTimedep:
@@ -647,7 +646,7 @@ class TestEvolveTimedep:
 
     def test_free_evolution_keeps_populations(self):
         shape = HilbertShape(2, 2)
-        source = lab_hamiltonian_source(free_params(), shape)
+        source = lab_reference(free_params(), shape)
         rng = np.random.default_rng(3)
         amps = rng.normal(size=shape.total_dim) + 1j * rng.normal(size=shape.total_dim)
         psi0 = QuantumState(shape, amps / np.linalg.norm(amps))
@@ -712,7 +711,7 @@ def scaled_lab_period():
     params = scaled_params(Omega=1.0)
     shape = HilbertShape(3, 3)
     period = 2 * math.pi / params.omega_L
-    return (shape, lab_hamiltonian_source(params, shape), period,
+    return (shape, lab_reference(params, shape), period,
             period / 400)
 
 

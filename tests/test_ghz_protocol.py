@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_params
+from conftest import lab_reference, scaled_params
 from ghz_sim.errors import (ConfigurationError, TruncationError,
                             UntunedError)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, partial_trace
 from ghz_sim import ghz_protocol
 from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule,
                                   evolve_lab, fidelity, ghz_schedule,
-                                  protocol_timeseries, run_protocol,
+                                  protocol_timeseries, pulse_times,
                                   target_state, tune_coupling)
 from ghz_sim.evolution import block_propagator, evolve_timedep
-from ghz_sim.hamiltonian import (BlockParams, block_basis_labels,
-                                 lab_hamiltonian_source)
+from ghz_sim.hamiltonian import BlockParams, block_basis_labels
 
 # frozen from the closed-form arithmetic: g = Omega / (eta_c sqrt(15)) for
 # Omega = 8.95e6 rad/s, eta_c = 0.05, and t_1 = pi sqrt(15) / (4 Omega)
@@ -223,7 +222,9 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         for initial in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):
-            report = run_protocol(schedule, initial, "block_analytic")
+            report = protocol_timeseries(
+                schedule, initial, "block_analytic",
+                pulse_times(schedule.t_p, 101)).final
             assert report.fidelity == pytest.approx(1.0, abs=1e-10)
             assert report.block_leakage == 0.0
             assert report.norm == pytest.approx(1.0, abs=1e-12)
@@ -232,7 +233,8 @@ class TestRunProtocol:
         shape = HilbertShape(6, 6)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
-        report = run_protocol(schedule, ("g", 0, 0), "ld_full")
+        report = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                     pulse_times(schedule.t_p, 101)).final
         assert report.fidelity < 1.0
         assert report.block_leakage > 0.0
         assert report.norm == pytest.approx(1.0, abs=1e-9)
@@ -269,21 +271,24 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(TruncationError, match="5x5"):
-            run_protocol(schedule, ("g", 0, 0), "ld_full")
+            protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                pulse_times(schedule.t_p, 101))
 
     def test_block_model_rejects_states_outside_block(self):
         shape = HilbertShape(4, 4)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="block"):
-            run_protocol(schedule, ("g", 2, 2), "block_analytic")
+            protocol_timeseries(schedule, ("g", 2, 2), "block_analytic",
+                                pulse_times(schedule.t_p, 101))
 
     def test_unknown_model_rejected(self):
         shape = HilbertShape(2, 2)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="model"):
-            run_protocol(schedule, ("g", 0, 0), "nope")
+            protocol_timeseries(schedule, ("g", 0, 0), "nope",
+                                pulse_times(schedule.t_p, 101))
 
     def test_short_time_lab_run_agrees_with_rwa(self):
         params = scaled_params(Omega=1.0)
@@ -327,7 +332,8 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ConfigurationError, match="n_times must be >= 2"):
-            run_protocol(schedule, ("g", 0, 0), model, n_times=n_times)
+            protocol_timeseries(schedule, ("g", 0, 0), model,
+                                pulse_times(schedule.t_p, n_times))
 
     @pytest.mark.parametrize("times", [[0.0, 1e-7, 1e-7], [0.0, 2e-7, 1e-7]])
     def test_block_model_rejects_non_increasing_times(self, times):
@@ -384,7 +390,7 @@ class TestLaserFrame:
         production = evolve_lab(run, basis_state(shape, *initial), times)
         series = protocol_timeseries(schedule, initial, "lab_frame", times)
 
-        plain = evolve_timedep(lab_hamiltonian_source(run, shape),
+        plain = evolve_timedep(lab_reference(run, shape),
                                basis_state(shape, *initial), times[-1],
                                2 * math.pi / run.omega_L / 400,
                                store_times=times, period=None)

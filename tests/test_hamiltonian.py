@@ -3,18 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import o_k_oracle, scaled_params
+from conftest import lab_reference, o_k_oracle, scaled_params
 from ghz_sim.errors import ConfigurationError
 from ghz_sim.fock_core import HilbertShape, kron3, ladder_ops, pauli_ops
-from ghz_sim.hamiltonian import (BlockParams, SystemParams,
-                                 _quadrature_functions, block_matrix,
+from ghz_sim.hamiltonian import (BlockParams, SystemParams, block_matrix,
                                  build_ld_hamiltonian, build_O_k,
                                  build_rwa_hamiltonian, effective_coupling,
-                                 lab_hamiltonian_source, rotating_frame_source)
+                                 rotating_frame_source)
 
 # values frozen from the finite-series evaluation of <m|O_k|m>; the
 # independent Laguerre oracle conftest.o_k_oracle reproduces them within 1e-15
@@ -111,29 +109,9 @@ def generic_lab_params():
                         omega_0=17.0, omega_c=5.0, omega_L=11.0, phi=0.4)
 
 
-def lab_oracle(params, shape, t):
-    """Independent assembly of the lab-frame Hamiltonian: test-local ladder
-    matrices and scipy.linalg.expm (Pade) for the operator exponential/sine."""
-    M, N = shape.vib_dim, shape.cav_dim
-    alow = np.diag(np.sqrt(np.arange(1, M)), k=1).astype(complex)
-    blow = np.diag(np.sqrt(np.arange(1, N)), k=1).astype(complex)
-    sz = np.diag([-1.0, 1.0]).astype(complex)
-    sp = np.array([[0, 0], [1, 0]], dtype=complex)
-    x = alow + alow.conj().T
-    h0 = (params.nu * kron3(np.eye(2), alow.conj().T @ alow + 0.5 * np.eye(M),
-                            np.eye(N))
-          + params.omega_c * kron3(np.eye(2), np.eye(M), blow.conj().T @ blow)
-          + 0.5 * params.omega_0 * kron3(sz, np.eye(M), np.eye(N)))
-    exp_op = scipy.linalg.expm(1j * params.eta_L * x)
-    arg = params.eta_c * x + params.phi * np.eye(M)
-    sin_op = (scipy.linalg.expm(1j * arg) - scipy.linalg.expm(-1j * arg)) / 2j
-    laser = params.Omega * kron3(sp, exp_op, np.eye(N)) * np.exp(-1j * params.omega_L * t)
-    cavity = params.g * kron3(sp + sp.conj().T, sin_op,
-                              blow + blow.conj().T)
-    return h0 + laser + laser.conj().T + cavity
-
-
 class TestLabHamiltonian:
+    # physics of the test-side reference, which TestRotatingFrameSource
+    # holds the package's laser-frame source to
     def test_node_no_lamb_dicke_carrier_only(self):
         # eta_L = eta_c = 0, phi = 0: the cavity term vanishes (sin 0 = 0) and
         # the interaction is the bare carrier drive
@@ -141,8 +119,8 @@ class TestLabHamiltonian:
                               omega_0=10.0, omega_c=9.0, omega_L=10.0, phi=0.0)
         shape = HilbertShape(3, 3)
         t = 0.7
-        h = lab_hamiltonian_source(params, shape)(t)
-        h0 = lab_hamiltonian_source(
+        h = lab_reference(params, shape)(t)
+        h0 = lab_reference(
             SystemParams(Omega=0.0, g=0.0, eta_L=0.0, eta_c=0.0, nu=1.0,
                          omega_0=10.0, omega_c=9.0, omega_L=10.0), shape)(t)
         _, sp, sm = pauli_ops()
@@ -155,8 +133,8 @@ class TestLabHamiltonian:
                               omega_0=10.0, omega_c=9.0, omega_L=10.0,
                               phi=np.pi / 2)
         shape = HilbertShape(2, 3)
-        h = lab_hamiltonian_source(params, shape)(0.0)
-        h0 = lab_hamiltonian_source(
+        h = lab_reference(params, shape)(0.0)
+        h0 = lab_reference(
             SystemParams(Omega=0.0, g=0.0, eta_L=0.0, eta_c=0.0, nu=1.0,
                          omega_0=10.0, omega_c=9.0, omega_L=10.0,
                          phi=np.pi / 2), shape)(0.0)
@@ -164,44 +142,6 @@ class TestLabHamiltonian:
         blow, bup = ladder_ops(3)
         expected = 1.5 * kron3(sp + sm, np.eye(2), bup + blow)
         assert np.allclose(h - h0, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("t", [0.0, 0.37, 2.1])
-    def test_matches_independent_assembly(self, t):
-        params = generic_lab_params()
-        shape = HilbertShape(4, 3)
-        h = lab_hamiltonian_source(params, shape)(t)
-        assert np.max(np.abs(h - lab_oracle(params, shape, t))) < 1e-11
-
-    def test_equals_per_call_lowering_term_exactly(self):
-        # the lowering term is built once; H(t) keeps the values of the
-        # expression that took laser_up.conj().T on every call
-        params = generic_lab_params()
-        shape = HilbertShape(4, 3)
-        M, N = shape.vib_dim, shape.cav_dim
-        b_low, b_up = ladder_ops(N)
-        _, sigma_p, sigma_m = pauli_ops()
-        eye_c = np.eye(N, dtype=complex)
-        h_free = np.zeros((shape.total_dim,) * 2, dtype=complex)
-        for s, m, n in shape.labels():
-            i = shape.index(s, m, n)
-            h_free[i, i] = (params.nu * (m + 0.5) + params.omega_c * n
-                            + 0.5 * params.omega_0 * (1.0 if s == "e" else -1.0))
-        exp_op, sin_op = _quadrature_functions(params.eta_L, params.eta_c,
-                                               params.phi, M)
-        h_static = h_free + params.g * kron3(sigma_p + sigma_m, sin_op,
-                                             b_up + b_low)
-        laser_up = params.Omega * kron3(sigma_p, exp_op, eye_c)
-        source = lab_hamiltonian_source(params, shape)
-        for t in (0.0, 0.37, 2.1, 1e3):
-            phase = np.exp(-1j * params.omega_L * t)
-            expected = (h_static + phase * laser_up
-                        + np.conj(phase) * laser_up.conj().T)
-            assert np.array_equal(source(t), expected)
-
-    @pytest.mark.parametrize("t", [0.0, 0.5, 3.3])
-    def test_hermitian_at_every_time(self, t):
-        h = lab_hamiltonian_source(generic_lab_params(), HilbertShape(4, 3))(t)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def frame_generator(shape):
@@ -228,7 +168,7 @@ class TestRotatingFrameSource:
         h_rot = rotating_frame_source(params, shape)(t)
         back = (r[:, None] * (h_rot + params.omega_L * np.diag(gen))
                 * r.conj()[None, :])
-        lab = lab_hamiltonian_source(params, shape)(t)
+        lab = lab_reference(params, shape)(t)
         assert np.max(np.abs(back - lab)) < 1e-9 * np.max(np.abs(lab))
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 2.1])
@@ -482,6 +422,6 @@ def test_every_builder_hermitian(omega, g, eta_l, eta_c, phi):
     shape = HilbertShape(3, 3)
     for h in (build_rwa_hamiltonian(params, shape),
               build_ld_hamiltonian(params, shape),
-              lab_hamiltonian_source(params, shape)(0.31),
+              rotating_frame_source(params, shape)(0.31),
               block_matrix(BlockParams.from_params(params, 1, 1))):
         assert np.max(np.abs(h - h.conj().T)) < 1e-12

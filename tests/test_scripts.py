@@ -4,8 +4,6 @@ arguments and prints its header and one line per result."""
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -15,18 +13,6 @@ def run_script(capsys, name, *argv):
     spec.loader.exec_module(module)
     module.main(list(argv))
     return capsys.readouterr().out.splitlines()
-
-
-def test_run_ghz_protocol(capsys):
-    lines = run_script(capsys, "run_ghz_protocol", "--shape", "6x6")
-    assert lines[0].startswith("pulse p=1: t_p = 0.339870 us")
-    assert lines[1].split() == ["initial", "model", "fidelity", "leakage"]
-    rows = [line.split() for line in lines[2:]]
-    # four block initial states under the block and the full LD model
-    assert len(rows) == 8
-    assert [row[1] for row in rows] == ["block_analytic", "ld_full"] * 4
-    assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
-    assert 0.0 < float(rows[1][2]) < 1.0
 
 
 def test_leakage_study(capsys):

@@ -1,6 +1,7 @@
 """Guards on the package's structure: no module reaches into another's
-private names, and the benchmark's per-layer tracer still finds every
-attribute it binds, so a refactor cannot silently zero its metrics."""
+private names, every name the package exports has a caller outside the
+tests, and the benchmark's per-layer tracer still finds every attribute it
+binds, so a refactor cannot silently zero its metrics."""
 
 import ast
 import importlib
@@ -12,21 +13,23 @@ import pytest
 from conftest import load_perfbench
 from ghz_sim.cli import main
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ghz_sim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ghz_sim"
+SCRIPTS = ROOT / "scripts"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 tracing = load_perfbench("tracing")
 
 # every (module, attribute) of tracing.SPAN_BINDINGS that the package has
-# ("cli.sweep", "ghz_protocol.truncation_leak" and
-# "ghz_protocol.lab_hamiltonian_source" name layers that are gone)
+# ("cli.sweep", "ghz_protocol.truncation_leak",
+# "ghz_protocol.lab_hamiltonian_source" and "ghz_protocol.run_protocol" name
+# layers that are gone)
 RESOLVED_BINDINGS = (
     ("cli", "load_config"), ("cli", "build_params"), ("cli", "parse_shape"),
     ("cli", "series_table"), ("cli", "write_table"), ("cli", "ghz_schedule"),
     ("cli", "protocol_timeseries"),
     ("ghz_protocol", "ghz_schedule"), ("ghz_protocol", "protocol_timeseries"),
-    ("ghz_protocol", "run_protocol"), ("ghz_protocol", "evolve_static"),
-    ("ghz_protocol", "evolve_timedep"),
+    ("ghz_protocol", "evolve_static"), ("ghz_protocol", "evolve_timedep"),
     ("ghz_protocol", "to_interaction_picture"),
     ("ghz_protocol", "block_propagator"),
     ("ghz_protocol", "build_ld_hamiltonian"),
@@ -92,6 +95,31 @@ def test_the_scan_sees_a_private_import(source, expected):
 def test_no_module_imports_another_modules_private_name(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert private_imports(source, module) == []
+
+
+def parsed(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name is used when a package module other than __init__ loads it (a
+    # Name or an Attribute read) or a script imports it
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(parsed(path))
+                        if isinstance(node, (ast.Name, ast.Attribute))
+                        and isinstance(node.ctx, ast.Load))
+    for path in SCRIPTS.glob("*.py"):
+        used.update(alias.name for node in ast.walk(parsed(path))
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names)
+    exported = [alias.asname or alias.name
+                for node in ast.walk(parsed(PACKAGE / "__init__.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exported
+    assert [name for name in exported if name not in used] == []
 
 
 def test_every_traced_layer_still_resolves():
