@@ -13,9 +13,10 @@ that produces exactly those bytes (:func:`write_table`): for
 1e-290 <= |x| <= 1e290 the mantissa is rint(|x| 10^(11 - e)), with e the
 decimal exponent and the power of ten correctly rounded, so the scaled
 value is within 2.3e-4 of the exact one and rounds the same way unless it
-lies within 1e-3 of a tie; ties, values whose rounding may carry into a
-13th digit, |x| outside that range, NaN and inf are formatted by Python's
-own ``"%.11e"``.
+lies within 1e-3 of a tie. A mantissa that rounds up to 10^12 is written
+as 10^11 with the exponent raised by one, as ``"%.11e"`` carries it. Ties,
+values whose scaled y reaches 10^12, |x| outside that range, NaN and inf
+are formatted by Python's own ``"%.11e"``.
 
 Exit codes: 0 success, 1 check or accuracy failure, 2 usage or config error.
 """
@@ -243,10 +244,14 @@ def format_rows(values: np.ndarray) -> bytes:
     e += (y >= 1e12).astype(np.int64) - (y < 1e11)
     y = a * powers[11 - e + 279]
     frac = y - np.floor(y)
-    fast &= (y >= 1e11) & (y < 1e12 - 1) & (np.abs(frac - 0.5) > 1e-3)
+    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(frac - 0.5) > 1e-3)
     # zero, like every value off the fast path, has mantissa 0 and e = 0
     fallback = ~fast & (ax != 0)
     mantissa = np.where(fast, np.rint(y), 0).astype(np.int64)
+    # a mantissa rounded up to 10^12 carries into the exponent
+    carry = mantissa == 10 ** 12
+    mantissa[carry] = 10 ** 11
+    e += carry
 
     sep = np.full(values.shape, ord(","), dtype=WORD)
     sep[:, -1] = ord("\n")
@@ -284,11 +289,12 @@ def write_table(path: str, columns: list[str], rows: list[list[float]],
     roundings, a relative error below 2.3e-16, so it is within 2.3e-4 of
     the exact |x| 10^(11 - e) < 1e12, and rint(y) is the correctly rounded
     12-digit mantissa, the one ``"%.11e"`` prints, unless y is within that
-    distance of a tie. Zero is written directly. Everything else goes
-    through Python's own ``"%.11e"``, whose string is copied into the row:
-    y within 1e-3 of a tie; y >= 1e12 - 1, where rounding may carry into a
-    13th digit (an exact value just under 1e11 whose y landed below 1e11
-    arrives here after the move); |x| outside [1e-290, 1e290]; NaN and
+    distance of a tie. A rint(y) of 1e12 carries: it is written as
+    mantissa 1e11 with exponent e + 1, as ``"%.11e"`` writes it (so is an
+    exact value just under 1e11 whose y landed below 1e11 before the
+    move). Zero is written directly. Everything else goes through
+    Python's own ``"%.11e"``, whose string is copied into the row: y
+    within 1e-3 of a tie; y >= 1e12; |x| outside [1e-290, 1e290]; NaN and
     +-inf. The JSON rows are the CSV lines parsed back to floats, as a
     reader of the CSV would get them.
     """
@@ -469,12 +475,22 @@ def cmd_ghz(args) -> int:
 def parse_values(text: str) -> list[float]:
     """Axis values: '0.1,0.2,0.3' or an inclusive range 'start:stop:step'."""
     text = text.strip().strip("{}")
+
+    def number(item: str, what: str) -> float:
+        try:
+            return float(item)
+        except ValueError:
+            raise ConfigurationError(
+                f"bad sweep values {text!r}: {what} {item.strip()!r} is not "
+                f"a number") from None
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigurationError(
                 f"bad range {text!r}, expected 'start:stop:step'")
-        start, stop, step = (float(v) for v in parts)
+        start, stop, step = (number(v, f"range {what}") for v, what in
+                             zip(parts, ("start", "stop", "step")))
         if not all(map(math.isfinite, (start, stop, step))):
             raise ConfigurationError(
                 f"bad range {text!r}: start, stop and step must be finite")
@@ -491,7 +507,7 @@ def parse_values(text: str) -> list[float]:
                 f"of physical memory")
         values = [start + i * step for i in range(max(int(count), 0))]
     else:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [number(v, "value") for v in text.split(",") if v.strip()]
     if not values:
         raise ConfigurationError(f"no values in {text!r}")
     return values
@@ -503,7 +519,9 @@ SWEEP_AXES = ("eta_c", "eta_L", "phi", "p", "vib_dim", "cav_dim", "dt")
 def cmd_sweep(args) -> int:
     """One ghz run per axis value, on the config with that key (for vib_dim
     and cav_dim, that side of shape) replaced. Every point is resolved
-    before the first one runs; a row is the final row of its run."""
+    before the first one runs; a row is the final row of its run. The
+    first failing point in axis order stops the sweep, its message led by
+    "sweep point <axis> = <value>: "."""
     config, axis = _run_config(args), args.axis
     if config["t"] is not None:
         raise ConfigurationError(
@@ -522,12 +540,20 @@ def cmd_sweep(args) -> int:
             return {**config, "shape": f"{shape.vib_dim}x{shape.cav_dim}"}
         return {**config, axis: value}
 
+    def failed(value, exc: Exception) -> Exception:
+        """``exc``, its message led by the point that raised it."""
+        exc.args = (f"sweep point {axis} = {value!r}: {exc}",)
+        return exc
+
     if axis == "dt":
         require_stepped(resolve_model(config["model"]), "sweep axis dt",
                         "every point would be the same run")
-    runs = [resolve_run(point(value)) for value in values]
-    if axis == "dt":
-        values = [run.dt / US for run in runs]
+    runs = []
+    for value in values:
+        try:
+            runs.append(resolve_run(point(value)))
+        except Exception as exc:
+            raise failed(value, exc)
 
     # equal Hamiltonians have equal shape and block, so points sorted by
     # them run each distinct Hamiltonian back to back and evolve_static
@@ -546,7 +572,7 @@ def cmd_sweep(args) -> int:
         except Exception as exc:
             failure = (i, exc)
     if failure is not None:
-        raise failure[1]
+        raise failed(values[failure[0]], failure[1])
 
     # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
     shapes = [run.schedule.shape for run in runs]
@@ -557,13 +583,14 @@ def cmd_sweep(args) -> int:
         cube[:, :sh.vib_dim, :sh.cav_dim] = report.populations.reshape(
             sh.ion_dim, sh.vib_dim, sh.cav_dim)
     names, pops = population_columns(outer, grid.reshape(len(runs), -1))
+    written = [run.dt / US for run in runs] if axis == "dt" else values
     columns = [axis, "t_p_us", "tuned_g_MHz",
                "fidelity", "norm", "block_leakage"] + names
     rows = np.column_stack([[[value, run.schedule.t_p / US,
                               run.schedule.params.g / MHZ,
                               report.fidelity, report.norm,
                               report.block_leakage]
-                             for value, run, report in zip(values, runs,
+                             for value, run, report in zip(written, runs,
                                                            reports)],
                             pops])
     write_table(config["output"], columns, rows, config["format"])

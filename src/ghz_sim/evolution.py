@@ -12,7 +12,8 @@ Three engines plus the frame transform that links them:
   result while the initial amplitudes and times repeat too (a tuned LD
   sweep over eta_c, eta_L or phi builds one matrix, at one pulse time, at
   every point). Hermiticity is checked once per distinct H, and a reused
-  run is the bit-for-bit result of a cold one;
+  run is the bit-for-bit result of a cold one. All sample times are
+  evolved in one numpy call, with no Python loop over them;
 * :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
   lab-frame model, in the laser frame) with a fixed-step classical
   Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
@@ -91,7 +92,8 @@ class EvolutionResult:
     a complex array passed in is marked read-only, not copied.
     ``truncation_leak[i]`` is that row's population in the top vibrational
     or top cavity level, the truncation diagnostic, and ``norms[i]`` its
-    norm, taken on first read, both read-only; ``norm_drift`` is the
+    norm, taken on first read for every row at once and bit for bit
+    ``np.linalg.norm`` of that row, both read-only; ``norm_drift`` is the
     largest deviation of any norm from 1 seen by the engine, by default
     that of ``norms``.
     """
@@ -125,10 +127,11 @@ class EvolutionResult:
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        # row by row: an axis=1 norm sums in another order (outputs move);
-        # sqrt(re.re + im.im) is np.linalg.norm's arithmetic for a complex row
-        norms = np.array([math.sqrt(re.dot(re) + im.dot(im)) for re, im in
-                          zip(self.amplitudes.real, self.amplitudes.imag)])
+        # sqrt(re.re + im.im) is np.linalg.norm's arithmetic for a complex
+        # row; vecdot makes the same dot call per row (an axis=1 sum of
+        # squares adds in another order, and outputs move)
+        re, im = self.amplitudes.real, self.amplitudes.imag
+        norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
         norms.flags.writeable = False
         return norms
 
@@ -272,6 +275,10 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     equal bit for bit too. eigh of the same bits is the same eigensystem,
     so a reused run writes the same bytes as a cold one. H is checked for
     Hermiticity once per distinct H.
+
+    Row i is V (exp(-i E t_i) * V† psi0), computed for every time in one
+    stacked matmul: numpy runs it as one gemv per row from its C loop,
+    the bits of the per-time product ``vecs @ w``.
     """
     times = require_sample_times(times).copy()
     times.flags.writeable = False
@@ -292,14 +299,12 @@ def evolve_static(h: np.ndarray, initial: QuantumState,
     coeffs = np.conj(vecs.T @ initial.amplitudes.conj())
 
     # every time's phase weights in one (T, D) array, exp and weighting in
-    # place; then one exact product per time: a single (D x D) @ (D x T)
-    # matmul would reorder the sums and move the written 12-digit outputs
+    # place; then the stacked product (one (D x D) @ (D x T) matmul would
+    # reorder the sums and move the written 12-digit outputs)
     weights = (-1j * evals) * times[:, None]
     np.exp(weights, out=weights)
     weights *= coeffs
-    amps = np.empty_like(weights)
-    for i, w in enumerate(weights):
-        amps[i] = vecs @ w
+    amps = np.matmul(vecs, weights[:, :, None])[..., 0]
     result = EvolutionResult(times, amps, initial.shape)
     held["run"] = (run_key, result)
     return result

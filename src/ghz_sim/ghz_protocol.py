@@ -294,9 +294,11 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
                        block_basis_labels(schedule.block.m, schedule.block.n))
         leakage = np.maximum(1.0 - in_block, 0.0)
     pops[pops <= POPULATION_FLOOR] = 0.0
-    # one np.vdot per row: a batched product sums in another order
-    fid = np.array([abs(np.vdot(target, row)) ** 2
-                    for row in result.amplitudes])
+    # vecdot conjugates the target and makes np.vdot's zdotc call on each
+    # row, so every product has np.vdot's bits; abs and ** 2 stay the
+    # scalar ones, since the array np.abs does not round alike
+    fid = np.array([abs(z) ** 2
+                    for z in np.vecdot(target, result.amplitudes)])
     series = (result.times.copy(), fid, result.norms, leakage, pops)
     for values in series:
         values.flags.writeable = False

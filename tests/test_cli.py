@@ -458,6 +458,22 @@ class TestExitCodes:
         assert f"bad range {values!r}" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("values, item", [
+        ("x", "value 'x'"), ("0.05,abc", "value 'abc'"),
+        ("0.05, 1e-2e, 0.1", "value '1e-2e'"),
+        ("a:0.2:0.05", "range start 'a'"), ("0.1:b:0.05", "range stop 'b'"),
+        ("0.1:0.2:x", "range step 'x'")])
+    def test_non_numeric_sweep_value_is_named(self, tmp_path, capsys,
+                                              values, item):
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "eta_c", values, "--model", "block",
+                     "--shape", "2x2", "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"ghz-sim: bad sweep values {values!r}: {item} is "
+                       f"not a number\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("values, count", [
         ("0:1e300:1e-300", "its inf points"),
         ("0:1e12:1", "1,000,000,000,001 points need")])
@@ -569,6 +585,23 @@ class TestSweepCommand:
         assert run_cli("sweep", "vib_dim", "4", "--model", "ld",
                        "--shape", "6x6", "--output", str(out_file)) == 1
         assert "top-level population" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, point, rc", [
+        (("eta_c", "0.05,0.05", "--model", "ld", "--shape", "3x3"),
+         "eta_c = 0.05", 1),
+        (("vib_dim", "6,4,3", "--model", "ld", "--shape", "6x6"),
+         "vib_dim = 4", 1),
+        (("phi", "0,1.5707963267948966", "--model", "block",
+          "--shape", "2x2"), "phi = 1.5707963267948966", 2)])
+    def test_failing_point_is_named(self, tmp_path, capsys, argv, point, rc):
+        # a point that fails to run (exit 1) or to resolve (exit 2) leads
+        # its message with the axis and value; the first in axis order wins
+        out_file = tmp_path / "x.csv"
+        assert run_cli("sweep", *argv, "--output", str(out_file)) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(f"ghz-sim: sweep point {point}: ")
+        assert err.count("sweep point") == 1
         assert not out_file.exists()
 
     @pytest.mark.parametrize("model, axis, values, eighs", [
@@ -928,6 +961,25 @@ def test_format_rows_equals_the_percent_format_on_a_fixed_corpus():
     assert len(values) >= 10 ** 6
     values = values[:len(values) // 5 * 5].reshape(-1, 5)
     expected = "".join("%.11e,%.11e,%.11e,%.11e,%.11e\n" % tuple(row)
+                       for row in values.tolist()).encode()
+    assert cli.format_rows(values) == expected
+
+
+def test_format_rows_carries_values_just_below_powers_of_ten():
+    # the 100 doubles below each power of ten in the fast range (y just
+    # under 1e12, most rounding up to it) and 12-digit mantissas 9.99..9
+    # followed by random digits at random exponents: rint(y) = 1e12 is
+    # written as mantissa 1e11 at exponent e + 1, as "%.11e" carries it
+    rng = np.random.default_rng(20261019)
+    below = [np.array([float(f"1e{k}") for k in range(-289, 291)])]
+    for _ in range(100):
+        below.append(np.nextafter(below[-1], 0.0))
+    nines = np.array([float(f"9.99999999999{d:05d}e{k}") for d, k in zip(
+        rng.integers(0, 10 ** 5, size=100_000),
+        rng.integers(-290, 290, size=100_000))])
+    values = np.concatenate(below[1:] + [nines, -nines[:1000]])
+    values = values[:len(values) // 4 * 4].reshape(-1, 4)
+    expected = "".join("%.11e,%.11e,%.11e,%.11e\n" % tuple(row)
                        for row in values.tolist()).encode()
     assert cli.format_rows(values) == expected
 

@@ -575,6 +575,37 @@ def random_rows(shape, n_rows, seed):
     return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
+# D = 2, 8, 72 and 512 (1x1 to 16x16), each with 1, 2 and 101 sample times
+STACKED_CASES = [(HilbertShape(side, side), n_times)
+                 for side in (1, 2, 6, 16) for n_times in (1, 2, 101)]
+
+
+@pytest.mark.parametrize("shape, n_times", STACKED_CASES)
+def test_stacked_rows_are_the_per_row_product_bit_for_bit(shape, n_times):
+    # a random Hermitian H and state: every row of the one stacked product
+    # is the per-time gemv vecs @ w
+    rng = np.random.default_rng(shape.total_dim * 1000 + n_times)
+    a = random_rows(shape, shape.total_dim, seed=n_times)
+    h = a + a.conj().T
+    psi = random_rows(shape, 1, seed=shape.total_dim)[0]
+    psi0 = QuantumState(shape, psi / np.linalg.norm(psi))
+    times = np.cumsum(rng.random(n_times))
+    result = evolve_static(h, psi0, times)
+    evals, vecs = np.linalg.eigh(h)
+    coeffs = np.conj(vecs.T @ psi0.amplitudes.conj())
+    for t, amps in zip(times, result.amplitudes):
+        assert np.array_equal(amps, vecs @ (np.exp(-1j * evals * t) * coeffs))
+
+
+@pytest.mark.parametrize("shape, n_times", STACKED_CASES)
+def test_norms_are_the_per_row_dot_products_bit_for_bit(shape, n_times):
+    amps = random_rows(shape, n_times, seed=shape.total_dim + n_times)
+    result = EvolutionResult(np.arange(float(n_times)), amps, shape)
+    assert result.norms.tolist() == [
+        math.sqrt(re.dot(re) + im.dot(im))
+        for re, im in zip(amps.real, amps.imag)]
+
+
 class TestEvolutionResult:
     def test_truncation_leak_matches_label_loop_exactly(self):
         shape = HilbertShape(12, 9)

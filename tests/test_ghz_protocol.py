@@ -15,7 +15,8 @@ from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule,
                                   evolve_lab, fidelity, ghz_schedule,
                                   protocol_timeseries, pulse_times,
                                   target_state, tune_coupling)
-from ghz_sim.evolution import block_propagator, evolve_timedep
+from ghz_sim.evolution import (EvolutionResult, block_propagator,
+                               evolve_timedep)
 from ghz_sim.hamiltonian import BlockParams, block_basis_labels
 
 # frozen from the closed-form arithmetic: g = Omega / (eta_c sqrt(15)) for
@@ -482,3 +483,25 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     assert final.populations.base is None   # a copy of one row, not a view
     with pytest.raises(ValueError):
         series.fidelity[0] = 0.0
+
+
+# D = 8, 72 and 512: the smallest shape that holds the (1, 1) block is 2x2
+@pytest.mark.parametrize("side, n_times", [(side, n_times)
+                                           for side in (2, 6, 16)
+                                           for n_times in (1, 2, 101)])
+def test_fidelity_is_one_vdot_per_row_bit_for_bit(monkeypatch, side,
+                                                  n_times):
+    # random rows, not a physical run: the batched scorer must give each
+    # row the bits of abs(np.vdot(target, row)) ** 2 whatever it holds
+    shape = HilbertShape(side, side)
+    rng = np.random.default_rng(side * 1000 + n_times)
+    size = (n_times, shape.total_dim)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    monkeypatch.setattr(ghz_protocol, "_evolve_states",
+                        lambda *run: EvolutionResult(run[3], amps, shape))
+    schedule = ghz_schedule(scaled_params(), shape=shape)
+    series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                 np.arange(float(n_times)))
+    target = target_state(("g", 0, 0), shape).amplitudes
+    assert series.fidelity.tolist() == [
+        float(abs(np.vdot(target, row)) ** 2) for row in amps]
