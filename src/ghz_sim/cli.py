@@ -8,15 +8,19 @@ config to pass rad/s and seconds through unchanged.
 
 All emitted numbers go through one fixed 12-significant-digit lowercase
 scientific format, ``"%.11e"`` (:func:`fmt`), so output files are
-byte-deterministic for a fixed config. Tables are written by one numpy pass
-that produces exactly those bytes (:func:`write_table`): for
-1e-290 <= |x| <= 1e290 the mantissa is rint(|x| 10^(11 - e)), with e the
+byte-deterministic for a fixed config on the same numpy and BLAS build with
+the same BLAS thread count: ld and rwa outputs from 10x10 up can move in
+the 12th digit between one BLAS thread and several (6x6 and lab outputs
+were measured equal under both). Tables are written by one numpy pass that
+produces exactly those bytes (:func:`write_table`): for
+1e-99 <= |x| < 1e100 the mantissa is rint(|x| 10^(11 - e)), with e the
 decimal exponent and the power of ten correctly rounded, so the scaled
 value is within 2.3e-4 of the exact one and rounds the same way unless it
 lies within 1e-3 of a tie. A mantissa that rounds up to 10^12 is written
 as 10^11 with the exponent raised by one, as ``"%.11e"`` carries it. Ties,
-values whose scaled y reaches 10^12, |x| outside that range, NaN and inf
-are formatted by Python's own ``"%.11e"``.
+values whose scaled y reaches 10^12, a carry to the three-digit exponent
+e = 100, |x| outside that range, NaN and inf are formatted by Python's own
+``"%.11e"``.
 
 Exit codes: 0 success, 1 check or accuracy failure, 2 usage or config error.
 """
@@ -37,7 +41,8 @@ import numpy as np
 from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
-from .evolution import require_resolved_step, require_sample_times
+from .evolution import (require_bounded_work, require_resolved_step,
+                        require_sample_times)
 from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
                            ProtocolSchedule, ghz_schedule, lab_period,
                            parse_label, protocol_timeseries, pulse_times)
@@ -154,10 +159,11 @@ def config_time(config: dict, key: str) -> float | None:
     if raw is None:
         return None
     value = config_float(raw)
-    if value is None or not (math.isfinite(value) and value > 0):
+    scale = US if config.get("units", "mhz") == "mhz" else 1.0
+    # a value that underflows to 0 s is refused too
+    if value is None or not (math.isfinite(value) and value * scale > 0):
         raise ConfigurationError(
             f"{key} must be a finite number > 0, got {raw!r}")
-    scale = US if config.get("units", "mhz") == "mhz" else 1.0
     return value * scale
 
 
@@ -195,10 +201,10 @@ def resolve_model(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 # one value's slot: five little-endian uint32 words, 20 bytes, laid out as
-# "-d.d" "dddd" "dddd" "dde+" "dd,\0" (positive: a zero byte for the "-";
-# a three-digit exponent: "ddd,"); zero bytes are dropped when written
+# "-d.d" "dddd" "dddd" "dde+" "dd,\0" (positive: a zero byte for the "-");
+# zero bytes are dropped when written
 WORD = np.dtype("<u4")
-EXP_MAX = 300
+EXP_MAX = 99   # the fast path writes two-digit exponents only
 
 
 @functools.cache
@@ -207,10 +213,9 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     CLI (and ``--help``) does not pay for them: the four ASCII digits of
     0-9999 in one uint32 word each ("0042" is '0', '0', '4', '2' in
     memory); the word "d.d" of each two-digit lead 0-99; for each exponent
-    e in [-EXP_MAX, EXP_MAX] the "e+" half word and the exponent's digits,
-    with the bit shift of the separator after them; and the correctly
-    rounded powers of ten 10^-279 .. 10^301 (``float("1e%d")``, not
-    ``10.0 ** k``)."""
+    e in [-EXP_MAX, EXP_MAX] the "e+" half word and the exponent's two
+    digits; and the correctly rounded powers of ten 10^-90 .. 10^112
+    (``float("1e%d")``, not ``10.0 ** k``)."""
     ascii_digit = np.arange(ord("0"), ord("9") + 1, dtype=WORD)
     digits = (ascii_digit[:, None, None, None]
               | ascii_digit[:, None, None] << 8
@@ -218,12 +223,10 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     lead = ((digits[:100] & 0xFF0000) >> 8 | ord(".") << 16
             | digits[:100] & 0xFF000000)
     e = np.arange(-EXP_MAX, EXP_MAX + 1)
-    wide = np.abs(e) >= 100
     e_sign = (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8) << 16
-    e_digits = np.where(wide, digits[np.abs(e)] >> 8, digits[np.abs(e)] >> 16)
-    powers = np.array([float(f"1e{k}") for k in range(-279, 302)])
-    tables = (digits, lead, e_sign.astype(WORD), e_digits,
-              np.where(wide, 24, 16).astype(WORD), powers)
+    powers = np.array([float(f"1e{k}") for k in range(-90, 113)])
+    tables = (digits, lead, e_sign.astype(WORD), digits[np.abs(e)] >> 16,
+              powers)
     for table in tables:   # shared by every call
         table.flags.writeable = False
     return tables
@@ -233,30 +236,32 @@ def format_rows(values: np.ndarray) -> bytes:
     """The bytes of one ``",".join(fmt(v) for v in row) + "\\n"`` per row of
     a 2-D float array with at least one column, in one vectorised pass (see
     :func:`write_table` for why they are the same bytes)."""
-    digits, lead, e_sign, e_digits, sep_shift, powers = _format_tables()
+    digits, lead, e_sign, e_digits, powers = _format_tables()
     x = values.ravel()
     ax = np.abs(x)
-    # the fast path's proven range; NaN compares False
-    fast = (ax >= 1e-290) & (ax <= 1e290)
+    # the fast path's range, e within [-101, 101]; NaN compares False
+    fast = (ax >= 1e-99) & (ax < 1e100)
     a = np.where(fast, ax, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * powers[11 - e + 279]
+    y = a * powers[11 - e + 90]
     e += (y >= 1e12).astype(np.int64) - (y < 1e11)
-    y = a * powers[11 - e + 279]
+    y = a * powers[11 - e + 90]
     frac = y - np.floor(y)
     fast &= (y >= 1e11) & (y < 1e12) & (np.abs(frac - 0.5) > 1e-3)
-    # zero, like every value off the fast path, has mantissa 0 and e = 0
-    fallback = ~fast & (ax != 0)
     mantissa = np.where(fast, np.rint(y), 0).astype(np.int64)
-    # a mantissa rounded up to 10^12 carries into the exponent
+    # a mantissa rounded up to 10^12 carries into the exponent; a carry to
+    # e = 100 leaves the two-digit exponents
     carry = mantissa == 10 ** 12
     mantissa[carry] = 10 ** 11
     e += carry
+    fast &= np.abs(e) <= EXP_MAX
+    # zero, like every value off the fast path, is written with e = 0
+    fallback = ~fast & (ax != 0)
+    e = np.where(fast, e, 0) + EXP_MAX
 
     sep = np.full(values.shape, ord(","), dtype=WORD)
     sep[:, -1] = ord("\n")
     sep = sep.ravel()
-    e += EXP_MAX
     words = np.empty((len(x), 5), dtype=WORD)
     # the 12 digits split 2 + 4 | 4 + 2 (a product is cheaper than a %)
     high = mantissa // 10 ** 6
@@ -266,7 +271,7 @@ def format_rows(values: np.ndarray) -> bytes:
     words[:, 1] = digits[high - first * 10 ** 4]
     words[:, 2] = digits[third]
     words[:, 3] = digits[low - third * 100] >> 16 | e_sign[e]
-    words[:, 4] = e_digits[e] | sep << sep_shift[e]
+    words[:, 4] = e_digits[e] | sep << 16
     slots = words.view(np.uint8)
     for i in np.flatnonzero(fallback):
         text = b"%.11e" % x[i]
@@ -283,7 +288,7 @@ def write_table(path: str, columns: list[str], rows: list[list[float]],
 
     Every value is written as :func:`fmt` writes it, ``"%.11e"``, but in
     one numpy pass (:func:`format_rows`). For finite x with
-    1e-290 <= |x| <= 1e290, e = floor(log10 |x|), moved by one when
+    1e-99 <= |x| < 1e100, e = floor(log10 |x|), moved by one when
     y = |x| 10^(11 - e) falls outside [1e11, 1e12), with 10^(11 - e)
     correctly rounded (a table of ``float("1e%d")``). y then carries two
     roundings, a relative error below 2.3e-16, so it is within 2.3e-4 of
@@ -294,9 +299,9 @@ def write_table(path: str, columns: list[str], rows: list[list[float]],
     exact value just under 1e11 whose y landed below 1e11 before the
     move). Zero is written directly. Everything else goes through
     Python's own ``"%.11e"``, whose string is copied into the row: y
-    within 1e-3 of a tie; y >= 1e12; |x| outside [1e-290, 1e290]; NaN and
-    +-inf. The JSON rows are the CSV lines parsed back to floats, as a
-    reader of the CSV would get them.
+    within 1e-3 of a tie; y >= 1e12; a carry to e = 100; |x| outside
+    [1e-99, 1e100); NaN and +-inf. The JSON rows are the CSV lines parsed
+    back to floats, as a reader of the CSV would get them.
     """
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
     # without columns, a row is an empty line
@@ -419,9 +424,10 @@ def require_stepped(model: str, what: str, consequence: str):
 def resolve_run(config: dict) -> Run:
     """Check a loaded config and turn it into one run, allocating nothing
     large and evolving nothing; a null g tunes the coupling, a number is
-    held as given, a dt is refused on a static model, a lab dt must
-    resolve the period of H(t), and the pulse must hold n_times distinct
-    samples."""
+    held as given, the shape must hold the (m, n) block, a dt is refused
+    on a static model, a lab dt must resolve the period of H(t), the pulse
+    must hold n_times distinct samples, and a lab run must stay inside the
+    work bound."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -435,6 +441,11 @@ def resolve_run(config: dict) -> Run:
         raise ConfigurationError(
             f"{exc.condition}; the config key g = {config['g']!r} is held as "
             f"given (a null g is tuned)") from None
+    if shape.vib_dim <= m or shape.cav_dim <= n:
+        raise ConfigurationError(
+            f"shape {shape.vib_dim}x{shape.cav_dim} cannot hold the (m, n) = "
+            f"({m}, {n}) block; the smallest shape that holds it is "
+            f"{m + 1}x{n + 1}")
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
@@ -452,6 +463,8 @@ def resolve_run(config: dict) -> Run:
             f"the pulse time t = {schedule.t_p!r} s is too short for "
             f"n_times = {n_times} distinct samples; the config keys t and "
             f"n_times must give a strictly increasing time grid") from None
+    if model == LAB_FRAME:
+        require_bounded_work(dt, period, times)
     return Run(schedule, initial, model, times, dt)
 
 

@@ -18,8 +18,10 @@ Three engines plus the frame transform that links them:
   lab-frame model, in the laser frame) with a fixed-step classical
   Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
   of H(t) it keeps dt <= T / STEPS_PER_PERIOD, integrates one period only
-  and reaches later times through U(k T + tau) = U(tau) U(T)^k. Norm
-  drift is never repaired by renormalization, it is the accuracy signal;
+  and reaches later times through U(k T + tau) = U(tau) U(T)^k, refusing
+  a run beyond its work bound (MAX_RK4_STEPS, MAX_PERIOD_POWERS) before
+  the first step. Norm drift is never repaired by renormalization, it is
+  the accuracy signal;
 * :func:`to_interaction_picture` applies the diagonal phases that map a
   laser-frame trajectory into the interaction picture.
 
@@ -46,6 +48,10 @@ from .hamiltonian import BlockParams, SystemParams, rotating_frame_energies
 HERMITICITY_ATOL = 1e-9
 NORM_DRIFT_LIMIT = 1e-6
 STEPS_PER_PERIOD = 50   # the resolution guard: dt <= T / STEPS_PER_PERIOD
+# the work bound of a time-dependent run: its RK4 steps, and its products
+# U(T) psi, one per period before the last sample
+MAX_RK4_STEPS = 10 ** 6
+MAX_PERIOD_POWERS = 10 ** 7
 
 # Permutation that swaps |g,m,n> <-> |e,m-1,n-1> and |e,m,n> <-> |g,m-1,n-1>.
 # It commutes with the block Hamiltonian and extends the two printed
@@ -208,13 +214,6 @@ def _require_hermitian_at(h: np.ndarray, index: np.ndarray) -> float:
     return dev
 
 
-def require_hermitian(h: np.ndarray):
-    """Refuse an H with a non-finite entry, or with max |H - H†| above
-    HERMITICITY_ATOL."""
-    h = np.ascontiguousarray(h, dtype=complex)
-    _require_hermitian_at(h, _nonzero_words(h)[0])
-
-
 def _nonzero_words(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of a C-contiguous H's nonzero 64-bit words, and
     those words."""
@@ -357,6 +356,33 @@ def require_resolved_step(dt: float, period: float):
             f"the period of H(t))")
 
 
+def require_bounded_work(dt: float | None, period: float | None,
+                         times: np.ndarray):
+    """Refuse a run of :func:`evolve_timedep` beyond the work bound, counted
+    from dt, the period T and the sample times alone: more than
+    MAX_PERIOD_POWERS whole periods before the last sample, or more than
+    MAX_RK4_STEPS steps. Marching U(T) takes about T / dt steps (when a
+    sample lies at or beyond T), and the sample offsets at most span / dt
+    plus one per sample, span the largest offset (the last time without a
+    period). A dt of None, a step not yet chosen, bounds the periods only."""
+    t_end = float(times[-1])
+    periods = t_end // period if period is not None else 0.0
+    if periods > MAX_PERIOD_POWERS:
+        raise ConfigurationError(
+            f"the pulse time t = {t_end:.3e} s spans {periods:.3g} periods "
+            f"T = {period:.3e} s of H(t), more than MAX_PERIOD_POWERS = "
+            f"{MAX_PERIOD_POWERS:,} products U(T) psi; shorten t")
+    if dt is None:
+        return
+    span = t_end if period is None else min(t_end, period)
+    steps = span / dt + len(times) + (period / dt if periods > 0 else 0.0)
+    if steps > MAX_RK4_STEPS:
+        raise ConfigurationError(
+            f"dt = {dt:.3e} s takes about {steps:.3g} RK4 steps over "
+            f"{len(times):,} sample times, more than MAX_RK4_STEPS = "
+            f"{MAX_RK4_STEPS:,}; raise dt")
+
+
 def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
                    t_end: float, dt: float,
                    store_times: Sequence[float] | None = None,
@@ -384,10 +410,12 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     block of those columns is marched once through the sorted offsets
     tau_i = t_i - k_i T, and row i is read from column k_i.
 
-    Norm drift of any marched column above 1e-6 at any step raises
-    :class:`AccuracyError`, and so does the unitarity bound
-    ||U(T)† U(T) - 1||_2 k_max of a periodic run; ``norm_drift`` reports the
-    largest of these. No renormalization is ever applied.
+    A run beyond the work bound (:func:`require_bounded_work`) raises
+    :class:`ConfigurationError` before any step. Norm drift of any marched
+    column above 1e-6 at any step raises :class:`AccuracyError`, and so
+    does the unitarity bound ||U(T)† U(T) - 1||_2 k_max of a periodic run;
+    ``norm_drift`` reports the largest of these. No renormalization is ever
+    applied.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be a finite number > 0, got {dt!r}")
@@ -404,6 +432,7 @@ def evolve_timedep(h_of_t: Callable[[float], np.ndarray], initial: QuantumState,
     store_times = require_sample_times(store_times, "store_times")
     if abs(store_times[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
         raise ValueError("store_times must end at t_end")
+    require_bounded_work(dt, period, store_times)
 
     # period k_i of each store time and offset tau_i into it (k_i = 0 and
     # tau_i = t_i exactly without a period)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +255,8 @@ class TestExitCodes:
         assert not out_file.exists()
 
     @pytest.mark.parametrize("key", ["t", "dt"])
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "0"])
+    # 1e-320 us underflows to 0 s
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "0", "1e-320"])
     def test_bad_time_exits_two(self, tmp_path, capsys, key, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_text(f'{{"{key}": {raw}}}')
@@ -316,6 +318,66 @@ class TestExitCodes:
                      str(out_file))
         assert rc == 2
         assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("ghz", "--model", "rwa", "--shape", "1x1"), {},
+         "shape 1x1 cannot hold the (m, n) = (1, 1) block; the smallest "
+         "shape that holds it is 2x2"),
+        (("sweep", "cav_dim", "1", "--model", "ld"), {},
+         "sweep point cav_dim = 1: shape 6x1 cannot hold the (m, n) = (1, 1) "
+         "block; the smallest shape that holds it is 2x2"),
+        (("ghz", "--shape", "3x2"), {"m": 3, "n": 1, "initial": "g,2,0"},
+         "shape 3x2 cannot hold the (m, n) = (3, 1) block; the smallest "
+         "shape that holds it is 4x2")],
+        ids=["ghz-1x1", "sweep-cav_dim-1", "ghz-m3-3x2"])
+    def test_shape_too_small_for_the_block_exits_two(self, tmp_path, capsys,
+                                                      argv, config, message):
+        cfg = tmp_path / "block.json"
+        cfg.write_text(json.dumps(config))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*argv, "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert f"ghz-sim: {message}\n" == capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_the_smallest_shape_that_holds_the_block_runs(self, tmp_path):
+        cfg = tmp_path / "block.json"
+        cfg.write_text(json.dumps({"m": 3, "n": 1, "initial": "g,2,0"}))
+        out_file = tmp_path / "x.csv"
+        assert run_cli("ghz", "--shape", "4x2", "--config", str(cfg),
+                       "--output", str(out_file)) == 0
+        assert out_file.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("ghz",), {"dt": 1e-12},
+         "dt = 1.000e-18 s takes about 1.76e+08 RK4 steps over 101 sample "
+         "times, more than MAX_RK4_STEPS = 1,000,000; raise dt"),
+        (("ghz",), {"dt": 1e-300}, "dt = 1.000e-306 s takes about 1.76e+296"),
+        (("sweep", "dt", "1e-12"), {},
+         "sweep point dt = 1e-12: dt = 1.000e-18 s takes about 1.76e+08"),
+        (("ghz",), {"t": 1000},
+         "the pulse time t = 1.000e-03 s spans 1.14e+07 periods T = "
+         "8.775e-11 s of H(t), more than MAX_PERIOD_POWERS = 10,000,000 "
+         "products U(T) psi; shorten t"),
+        (("ghz", "--p", "3000"), {}, "t = 1.053e-03 s spans 1.2e+07 periods")],
+        ids=["dt-1e-12", "dt-1e-300", "sweep-dt-1e-12", "t-1000", "p-3000"])
+    def test_lab_run_beyond_the_work_bound_exits_two_before_any_run(
+            self, tmp_path, capsys, monkeypatch, argv, config, message):
+        # each would run for minutes to forever; refused in milliseconds
+        calls = []
+        monkeypatch.setattr(cli, "protocol_timeseries",
+                            lambda *run: calls.append(run))
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps(config))
+        out_file = tmp_path / "x.csv"
+        start = time.perf_counter()
+        rc = run_cli(*argv, "--model", "lab", "--config", str(cfg),
+                     "--output", str(out_file))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command, model", [
@@ -966,10 +1028,10 @@ def test_format_rows_equals_the_percent_format_on_a_fixed_corpus():
 
 
 def test_format_rows_carries_values_just_below_powers_of_ten():
-    # the 100 doubles below each power of ten in the fast range (y just
-    # under 1e12, most rounding up to it) and 12-digit mantissas 9.99..9
-    # followed by random digits at random exponents: rint(y) = 1e12 is
-    # written as mantissa 1e11 at exponent e + 1, as "%.11e" carries it
+    # the 100 doubles below each power of ten (y just under 1e12, most
+    # rounding up to it) and 12-digit mantissas 9.99..9 followed by random
+    # digits at random exponents: rint(y) = 1e12 is written as mantissa
+    # 1e11 at exponent e + 1, as "%.11e" carries it
     rng = np.random.default_rng(20261019)
     below = [np.array([float(f"1e{k}") for k in range(-289, 291)])]
     for _ in range(100):
@@ -980,6 +1042,21 @@ def test_format_rows_carries_values_just_below_powers_of_ten():
     values = np.concatenate(below[1:] + [nines, -nines[:1000]])
     values = values[:len(values) // 4 * 4].reshape(-1, 4)
     expected = "".join("%.11e,%.11e,%.11e,%.11e\n" % tuple(row)
+                       for row in values.tolist()).encode()
+    assert cli.format_rows(values) == expected
+
+
+def test_format_rows_equals_the_percent_format_past_two_digit_exponents():
+    # the edges of the two-digit fast path, the carries into e = +-100 and
+    # every range beyond it; both signs of each
+    edges = np.array([1e-99, 9.999999999995e-99, 1e99, 9.999999999995e99,
+                      1e-100, 1e100, 9.99999999999951e-101,
+                      9.9999999999995e99, np.nextafter(1e100, 0.0),
+                      np.nextafter(1e-99, 0.0), 1e-308, 1e308,
+                      1.7976931348623157e308, 2.2250738585072014e-308,
+                      2.2e-310, 5e-324, 0.0, math.nan, math.inf])
+    values = np.concatenate([edges, -edges]).reshape(-1, 2)
+    expected = "".join("%.11e,%.11e\n" % tuple(row)
                        for row in values.tolist()).encode()
     assert cli.format_rows(values) == expected
 

@@ -519,7 +519,7 @@ def word_index(h):
 class TestHermiticityCheck:
     """The check reads max |H - H†| off the pairs of H's nonzero words: the
     dense float bit for bit, and a non-finite entry is refused before any
-    subtraction."""
+    subtraction; evolve_static runs it on every H it has not held."""
 
     @staticmethod
     def hermitian(sparse):
@@ -550,12 +550,17 @@ class TestHermiticityCheck:
         for h in (self.hermitian(True), np.zeros((4, 4), dtype=complex)):
             assert evolution._require_hermitian_at(h, word_index(h)) == 0.0
 
+    @staticmethod
+    def evolve(h):
+        return evolve_static(h, basis_state(HilbertShape(3, 3), "g", 0, 0),
+                             [0.0, 1.0])
+
     def test_a_deviation_above_the_tolerance_is_refused(self):
         h = self.hermitian(True)
         h[2, 13] += 1e-6
         with pytest.raises(ModelError,
                            match=r"max \|H - H†\| = 1\.000e-06"):
-            evolution.require_hermitian(h)
+            self.evolve(h)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
                                        complex(0, math.nan),
@@ -566,7 +571,48 @@ class TestHermiticityCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ModelError, match="not Hermitian"):
-                evolution.require_hermitian(h)
+                self.evolve(h)
+
+
+class TestWorkBound:
+    """require_bounded_work counts a time-dependent run's work from dt, the
+    period and the sample times alone, and refuses it just past either
+    bound; evolve_timedep runs it before any step."""
+
+    def test_periods_up_to_the_bound_pass_and_one_more_is_refused(self):
+        bound = evolution.MAX_PERIOD_POWERS
+        evolution.require_bounded_work(None, 1.0, np.array([0.0, bound + 0.5]))
+        with pytest.raises(ConfigurationError, match="MAX_PERIOD_POWERS"):
+            evolution.require_bounded_work(None, 1.0,
+                                           np.array([0.0, bound + 1.0]))
+
+    def test_steps_without_a_period_count_one_per_dt_and_per_sample(self):
+        bound = evolution.MAX_RK4_STEPS
+        evolution.require_bounded_work(1.0, None, np.array([0.0, bound - 2]))
+        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+            evolution.require_bounded_work(1.0, None,
+                                           np.array([0.0, 1.0, bound - 2]))
+
+    def test_steps_with_a_period_count_both_passes(self):
+        # T / dt to march U(T), then the offsets: T / dt plus one per sample
+        bound = evolution.MAX_RK4_STEPS
+        period = (bound - 2) / 2
+        evolution.require_bounded_work(1.0, period,
+                                       np.array([0.0, period + 0.5]))
+        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+            evolution.require_bounded_work(
+                1.0, period, np.array([0.0, 1.0, period + 0.5]))
+
+    @pytest.mark.parametrize("dt, t_end, match", [
+        (1e-7, 1.5, "MAX_RK4_STEPS"),
+        (1e-3, evolution.MAX_PERIOD_POWERS + 1.0, "MAX_PERIOD_POWERS")])
+    def test_evolve_timedep_refuses_before_any_step(self, dt, t_end, match):
+        def source(t):
+            raise AssertionError(f"H({t}) evaluated: the run was not refused")
+
+        with pytest.raises(ConfigurationError, match=match):
+            evolve_timedep(source, basis_state(HilbertShape(1, 1), "g", 0, 0),
+                           t_end=t_end, dt=dt, period=1.0)
 
 
 def random_rows(shape, n_rows, seed):

@@ -1,11 +1,13 @@
 """Guards on the package's structure: no module reaches into another's
-private names, every name the package exports has a caller outside the
-tests, and the benchmark's per-layer tracer still finds every attribute it
-binds, so a refactor cannot silently zero its metrics."""
+private names, every public function and class has a caller outside the
+tests (for an exported name, in the package or a script), and the
+benchmark's per-layer tracer still finds every attribute it binds, so a
+refactor cannot silently zero its metrics."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from ghz_sim.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ghz_sim"
 SCRIPTS = ROOT / "scripts"
+README = ROOT / "README.md"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 tracing = load_perfbench("tracing")
@@ -101,25 +104,57 @@ def parsed(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_every_exported_name_has_a_caller_outside_the_tests():
-    # a name is used when a package module other than __init__ loads it (a
-    # Name or an Attribute read) or a script imports it
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def used_outside_the_tests() -> set[str]:
+    """The names a package module other than __init__ loads (a Name or an
+    Attribute read) outside the definition of that name, and the names a
+    script imports."""
     used = set()
     for path in PACKAGE.glob("*.py"):
-        if path.stem != "__init__":
-            used.update(node.id if isinstance(node, ast.Name) else node.attr
-                        for node in ast.walk(parsed(path))
-                        if isinstance(node, (ast.Name, ast.Attribute))
-                        and isinstance(node.ctx, ast.Load))
+        if path.stem == "__init__":
+            continue
+        for statement in parsed(path).body:
+            loaded = {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(statement)
+                      if isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load)}
+            if isinstance(statement, DEFINITIONS):
+                loaded.discard(statement.name)
+            used |= loaded
     for path in SCRIPTS.glob("*.py"):
         used.update(alias.name for node in ast.walk(parsed(path))
                     if isinstance(node, ast.ImportFrom)
                     for alias in node.names)
+    return used
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    used = used_outside_the_tests()
     exported = [alias.asname or alias.name
                 for node in ast.walk(parsed(PACKAGE / "__init__.py"))
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert exported
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a module-level function or class without a leading underscore is
+    # used by the package or a script, or documented in the README's
+    # "Library use" section
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library use\n")
+    documented = set(re.findall(r"\w+", text[start:text.index("\n## ",
+                                                             start + 1)]))
+    used = used_outside_the_tests() | documented
+    defined = [f"{path.stem}.{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in parsed(path).body
+               if isinstance(node, DEFINITIONS) and not private(node.name)]
+    assert defined
+    assert [name for name in defined
+            if name.partition(".")[2] not in used] == []
 
 
 def test_every_traced_layer_still_resolves():
