@@ -36,9 +36,9 @@ def infidelity_at(ratio: float, shape: HilbertShape, time_fraction: float) -> fl
     psi0 = basis_state(shape, "g", 0, 0)
 
     rwa = evolve_static(build_rwa_hamiltonian(params, shape), psi0, [t_end])
-    lab_state = evolve_lab(params, psi0, [0.0, t_end]).final_state
+    lab = evolve_lab(params, psi0, [0.0, t_end])
 
-    overlap = abs(np.vdot(rwa.final_state.amplitudes, lab_state.amplitudes)) ** 2
+    overlap = abs(np.vdot(rwa.amplitudes[-1], lab.amplitudes[-1])) ** 2
     return 1.0 - overlap
 
 

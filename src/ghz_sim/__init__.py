@@ -9,9 +9,9 @@ from .evolution import (EvolutionResult, block_propagator, evolve_static,
                         evolve_timedep, to_interaction_picture)
 from .fock_core import (HilbertShape, QuantumState, basis_state, kron3,
                         ladder_ops, partial_trace, pauli_ops)
-from .ghz_protocol import (FidelityReport, ProtocolSchedule, ProtocolSeries,
-                           evolve_lab, fidelity, ghz_schedule,
-                           protocol_timeseries, target_state, tune_coupling)
+from .ghz_protocol import (ProtocolSchedule, ProtocolSeries, evolve_lab,
+                           ghz_schedule, protocol_timeseries, target_state,
+                           tune_coupling)
 from .hamiltonian import (BlockParams, SystemParams, block_matrix,
                           build_ld_hamiltonian, build_O_k,
                           build_rwa_hamiltonian, effective_coupling,

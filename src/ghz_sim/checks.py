@@ -266,8 +266,8 @@ def check_static_timedep_agreement() -> CheckResult:
     t_end = 2.0
     static = evolve_static(h, psi0, [t_end])
     timedep = evolve_timedep(lambda t: h, psi0, t_end, dt=2e-3)
-    dev = float(np.max(np.abs(static.final_state.amplitudes
-                              - timedep.final_state.amplitudes)))
+    dev = float(np.max(np.abs(static.amplitudes[-1]
+                              - timedep.amplitudes[-1])))
     return CheckResult("static_timedep_agreement", dev < 1e-8, dev, 1e-8,
                        "RK4 vs exp(-iHt) for constant H")
 

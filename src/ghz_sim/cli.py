@@ -476,11 +476,12 @@ def cmd_ghz(args) -> int:
     columns, rows = series_table(series)
     write_table(config["output"], columns, rows, config["format"])
 
-    final, schedule = series.final, run.schedule
+    schedule = run.schedule
     print(f"ghz model={run.model} initial={config['initial']} p={schedule.p} "
           f"t_p={fmt(schedule.t_p / US)} us "
           f"tuned_g={fmt(schedule.params.g / MHZ)} MHz "
-          f"fidelity={fmt(final.fidelity)} block_leakage={fmt(final.block_leakage)} "
+          f"fidelity={fmt(series.fidelity[-1])} "
+          f"block_leakage={fmt(series.block_leakage[-1])} "
           f"output={config['output']}")
     return 0
 
@@ -576,36 +577,38 @@ def cmd_sweep(args) -> int:
         shape, block = runs[i].schedule.shape, runs[i].schedule.block
         return shape.vib_dim, shape.cav_dim, block.a, block.mu
 
-    reports, failure = [None] * len(runs), None
-    for i in sorted(range(len(runs)), key=group):
-        if failure is not None and i > failure[0]:
-            continue
-        try:
-            reports[i] = protocol_timeseries(*runs[i]).final
-        except Exception as exc:
-            failure = (i, exc)
-    if failure is not None:
-        raise failed(values[failure[0]], failure[1])
-
-    # a vib_dim/cav_dim sweep's points differ in shape: pad to the largest
+    # each point's last row, its populations padded to the largest shape
     shapes = [run.schedule.shape for run in runs]
     outer = HilbertShape(vib_dim=max(sh.vib_dim for sh in shapes),
                          cav_dim=max(sh.cav_dim for sh in shapes))
     grid = np.zeros((len(runs), outer.ion_dim, outer.vib_dim, outer.cav_dim))
-    for cube, report, sh in zip(grid, reports, shapes):
-        cube[:, :sh.vib_dim, :sh.cav_dim] = report.populations.reshape(
+    scores = np.zeros((len(runs), 3))
+    failure = None
+    for i in sorted(range(len(runs)), key=group):
+        if failure is not None and i > failure[0]:
+            continue
+        try:
+            series = protocol_timeseries(*runs[i])
+        except Exception as exc:
+            failure = (i, exc)
+            continue
+        sh = shapes[i]
+        grid[i, :, :sh.vib_dim, :sh.cav_dim] = series.populations[-1].reshape(
             sh.ion_dim, sh.vib_dim, sh.cav_dim)
+        scores[i] = (series.fidelity[-1], series.norm[-1],
+                     series.block_leakage[-1])
+        del series   # not held through the next point's run
+    if failure is not None:
+        raise failed(values[failure[0]], failure[1])
+
     names, pops = population_columns(outer, grid.reshape(len(runs), -1))
     written = [run.dt / US for run in runs] if axis == "dt" else values
     columns = [axis, "t_p_us", "tuned_g_MHz",
                "fidelity", "norm", "block_leakage"] + names
     rows = np.column_stack([[[value, run.schedule.t_p / US,
-                              run.schedule.params.g / MHZ,
-                              report.fidelity, report.norm,
-                              report.block_leakage]
-                             for value, run, report in zip(written, runs,
-                                                           reports)],
-                            pops])
+                              run.schedule.params.g / MHZ]
+                             for value, run in zip(written, runs)],
+                            scores, pops])
     write_table(config["output"], columns, rows, config["format"])
     print(f"sweep axis={axis} points={len(runs)} model={runs[0].model} "
           f"output={config['output']}")

@@ -141,10 +141,6 @@ class EvolutionResult:
         norms.flags.writeable = False
         return norms
 
-    @property
-    def final_state(self) -> QuantumState:
-        return QuantumState(self.shape, self.amplitudes[-1])
-
 
 def block_propagator(block: BlockParams,
                      t: float | np.ndarray) -> np.ndarray:
@@ -356,15 +352,24 @@ def require_resolved_step(dt: float, period: float):
             f"the period of H(t))")
 
 
+def rk4_step_count(dt: float, period: float | None,
+                   times: np.ndarray) -> float:
+    """About how many RK4 steps :func:`evolve_timedep` takes with step dt:
+    T / dt to march U(T) when a sample lies at or beyond the period T, then
+    the largest sample offset / dt plus one step per sample."""
+    t_end = float(times[-1])
+    if period is None:
+        return t_end / dt + len(times)
+    return (min(t_end, period) / dt + len(times)
+            + (period / dt if t_end // period > 0 else 0.0))
+
+
 def require_bounded_work(dt: float | None, period: float | None,
                          times: np.ndarray):
-    """Refuse a run of :func:`evolve_timedep` beyond the work bound, counted
-    from dt, the period T and the sample times alone: more than
-    MAX_PERIOD_POWERS whole periods before the last sample, or more than
-    MAX_RK4_STEPS steps. Marching U(T) takes about T / dt steps (when a
-    sample lies at or beyond T), and the sample offsets at most span / dt
-    plus one per sample, span the largest offset (the last time without a
-    period). A dt of None, a step not yet chosen, bounds the periods only."""
+    """Refuse a run of :func:`evolve_timedep` beyond the work bound: more
+    than MAX_PERIOD_POWERS whole periods T before the last sample, or more
+    than MAX_RK4_STEPS steps (:func:`rk4_step_count`). A dt of None, a step
+    not yet chosen, bounds the periods only."""
     t_end = float(times[-1])
     periods = t_end // period if period is not None else 0.0
     if periods > MAX_PERIOD_POWERS:
@@ -374,8 +379,7 @@ def require_bounded_work(dt: float | None, period: float | None,
             f"{MAX_PERIOD_POWERS:,} products U(T) psi; shorten t")
     if dt is None:
         return
-    span = t_end if period is None else min(t_end, period)
-    steps = span / dt + len(times) + (period / dt if periods > 0 else 0.0)
+    steps = rk4_step_count(dt, period, times)
     if steps > MAX_RK4_STEPS:
         raise ConfigurationError(
             f"dt = {dt:.3e} s takes about {steps:.3g} RK4 steps over "

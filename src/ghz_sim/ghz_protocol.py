@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError, UntunedError
-from .evolution import (STEPS_PER_PERIOD, EvolutionResult, block_propagator,
-                        evolve_static, evolve_timedep, require_sample_times,
+from .evolution import (MAX_RK4_STEPS, STEPS_PER_PERIOD, EvolutionResult,
+                        block_propagator, evolve_static, evolve_timedep,
+                        require_sample_times, rk4_step_count,
                         to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
@@ -75,17 +76,6 @@ class ProtocolSchedule:
 
 
 @dataclass(frozen=True)
-class FidelityReport:
-    """Score of one protocol run at a single time: one ProtocolSeries row,
-    as :attr:`ProtocolSeries.final` gives the last one."""
-
-    fidelity: float
-    block_leakage: float
-    populations: np.ndarray
-    norm: float
-
-
-@dataclass(frozen=True)
 class ProtocolSeries:
     """Scores of one protocol run as read-only arrays, row i at ``times[i]``:
     (T,) ``fidelity``, ``norm``, ``block_leakage`` and (T, shape.total_dim)
@@ -97,14 +87,6 @@ class ProtocolSeries:
     norm: np.ndarray
     block_leakage: np.ndarray
     populations: np.ndarray
-
-    @property
-    def final(self) -> FidelityReport:
-        """Score at the last time, holding a copy of that one row only."""
-        return FidelityReport(fidelity=float(self.fidelity[-1]),
-                              block_leakage=float(self.block_leakage[-1]),
-                              populations=self.populations[-1].copy(),
-                              norm=float(self.norm[-1]))
 
 
 def tune_coupling(Omega: float, eta_c: float, p: int = 1) -> float:
@@ -144,13 +126,6 @@ def target_state(initial_label: Label, shape: HilbertShape, m: int = 1,
     return QuantumState(shape, amps)
 
 
-def fidelity(psi: QuantumState, target: QuantumState) -> float:
-    """|<target|psi>|^2; symmetric and insensitive to global phases."""
-    if psi.shape != target.shape:
-        raise ValueError("states live on different Hilbert shapes")
-    return float(abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2)
-
-
 def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                  shape: HilbertShape | None = None,
                  tune: bool = False) -> ProtocolSchedule:
@@ -185,19 +160,33 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                             t_p=p * math.pi / block.mu)
 
 
-def _default_lab_dt(source, period: float | None, t_end: float) -> float:
+def _default_lab_dt(source, period: float | None,
+                    times: np.ndarray) -> float:
     """Step size for a lab-frame run in the laser frame: inside the
     resolution guard of its period T (none when there is no period:
     the Hamiltonian is static) and small enough that the accumulated RK4
     norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius of H)
     stays an order of magnitude below the 1e-6 drift limit. The unitarity
     bound of a period run, which takes the worst-damped direction and so
-    reads about twice that drift, stays below the limit too."""
+    reads about twice that drift, stays below the limit too. A step beyond
+    MAX_RK4_STEPS is refused, named as the default step and by what sets it."""
+    t_end = float(times[-1])
     dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
-    if t_end > 0:
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
-        if lam > 0:
-            dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
+    if t_end <= 0:
+        return dt
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
+    if lam > 0:
+        dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
+    steps = rk4_step_count(dt, period, times)
+    if steps > MAX_RK4_STEPS:
+        raise ConfigurationError(
+            f"the default lab step dt = {dt:.3e} s takes about {steps:.3g} "
+            f"RK4 steps over {len(times):,} sample times, more than "
+            f"MAX_RK4_STEPS = {MAX_RK4_STEPS:,}; that step is the largest "
+            f"that keeps the RK4 norm drift below its target over t = "
+            f"{t_end:.3e} s at the spectral radius {lam:.3e} rad/s of H, so "
+            f"give a config dt, shorten the pulse (t or p) or use a smaller "
+            f"shape")
     return dt
 
 
@@ -227,7 +216,7 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     period = lab_period(params)
     t_end = float(times[-1])
     if dt is None:
-        dt = _default_lab_dt(source, period, t_end)
+        dt = _default_lab_dt(source, period, times)
     return to_interaction_picture(
         evolve_timedep(source, initial, t_end=t_end, dt=dt,
                        store_times=times, period=period),

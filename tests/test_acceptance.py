@@ -149,11 +149,11 @@ def test_criterion_07_full_model_truncation_convergence():
     for dim in (6, 8):
         shape = HilbertShape(dim, dim)
         schedule = ghz_schedule(params, shape=shape)
-        rep = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
-                                  pulse_times(schedule.t_p, 101)).final
-        fids.append(rep.fidelity)
-        leaks.append(rep.block_leakage)
-        norms.append(rep.norm)
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                     pulse_times(schedule.t_p, 101))
+        fids.append(series.fidelity[-1])
+        leaks.append(series.block_leakage[-1])
+        norms.append(series.norm[-1])
     fid_diff = abs(fids[0] - fids[1])
     norm_err = max(abs(n - 1.0) for n in norms)
     ok = fid_diff < 1e-6 and all(l >= 0.0 for l in leaks) and norm_err < 1e-9
@@ -209,7 +209,7 @@ def test_criterion_10_integrator_quality():
     t_end = 0.5
 
     def terminal(dt):
-        return evolve_timedep(source, psi0, t_end, dt).final_state.amplitudes
+        return evolve_timedep(source, psi0, t_end, dt).amplitudes[-1]
 
     ref = terminal(3e-3 / 8)
     err_coarse = np.linalg.norm(terminal(3e-3) - ref)
@@ -218,9 +218,9 @@ def test_criterion_10_integrator_quality():
 
     h_const = build_ld_hamiltonian(scaled_params(Omega=1.0), HilbertShape(3, 3))
     psi0_c = basis_state(HilbertShape(3, 3), "g", 0, 0)
-    static = evolve_static(h_const, psi0_c, [2.5]).final_state.amplitudes
+    static = evolve_static(h_const, psi0_c, [2.5]).amplitudes[-1]
     timedep = evolve_timedep(lambda t: h_const, psi0_c, 2.5,
-                             dt=5e-3).final_state.amplitudes
+                             dt=5e-3).amplitudes[-1]
     cross = float(np.max(np.abs(static - timedep)))
     ok = order >= 3.8 and cross < 1e-8
     assert report(10, "fixed-step integrator: self-convergence order >= 3.8 "

@@ -380,6 +380,43 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv, dt, message", [
+        (("ghz",), None,
+         "the default lab step dt = 2.357e-16 s takes about 1.44e+09 RK4 "
+         "steps over 101 sample times, more than MAX_RK4_STEPS = 1,000,000; "
+         "that step is the largest that keeps the RK4 norm drift below its "
+         "target over t = 3.399e-07 s at the spectral radius 1.969e+13 "
+         "rad/s of H, so give a config dt, shorten the pulse (t or p) or "
+         "use a smaller shape"),
+        (("sweep", "eta_c", "0.05"), None,
+         "sweep point eta_c = 0.05: the default lab step dt = 2.357e-16 s "
+         "takes about 1.44e+09 RK4 steps"),
+        (("ghz",), 1e-9,
+         "dt = 1.000e-15 s takes about 3.4e+08 RK4 steps over 101 sample "
+         "times, more than MAX_RK4_STEPS = 1,000,000; raise dt"),
+        (("sweep", "eta_c", "0.05"), 1e-9,
+         "sweep point eta_c = 0.05: dt = 1.000e-15 s takes about 3.4e+08 "
+         "RK4 steps over 101 sample times, more than MAX_RK4_STEPS = "
+         "1,000,000; raise dt")],
+        ids=["ghz-default", "sweep-default", "ghz-dt", "sweep-dt"])
+    def test_a_step_beyond_the_work_bound_is_named_by_where_it_came_from(
+            self, tmp_path, capsys, argv, dt, message):
+        # at omega_L = 0 H is static and no period caps the default step,
+        # which the RK4 drift target at H's spectral radius (set by the
+        # optical omega_0) makes tiny; only a config dt is the user's to raise
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps({"omega_L": 0, "omega_0": 3580000,
+                                   "omega_c": 3579821, "dt": dt}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*argv, "--model", "lab", "--config", str(cfg),
+                     "--output", str(out_file))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ghz-sim: {message}")
+        assert err.count("ghz-sim:") == 1 and err.endswith("\n")
+        assert ("raise dt" in err) == (dt is not None)
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("command, model", [
         (("ghz",), "lab"), (("sweep", "eta_c", "0.04,0.05"), "rwa")])
     def test_unknown_config_format_exits_two_before_any_run(
@@ -807,16 +844,16 @@ class TestSweepCommand:
             schedule = ghz_schedule(params, shape=shape, tune=True)
             reports[vib] = (shape, protocol_timeseries(
                 schedule, ("g", 0, 0), "ld_full",
-                pulse_times(schedule.t_p, 101)).final)
-        union = sorted({lbl for shape, rep in reports.values()
+                pulse_times(schedule.t_p, 101)).populations[-1])
+        union = sorted({lbl for shape, pops in reports.values()
                         for lbl in shape.labels()
-                        if rep.populations[shape.index(*lbl)] > 0.0},
+                        if pops[shape.index(*lbl)] > 0.0},
                        key=lambda lbl: (ION_LABELS.index(lbl[0]), *lbl[1:]))
         assert ("g", 5, 5) in union
         assert columns[6:] == [f"pop_{s}_{m}_{n}" for s, m, n in union]
-        for row, (shape, rep) in zip(rows, reports.values()):
+        for row, (shape, pops) in zip(rows, reports.values()):
             for value, (s, m, n) in zip(row[6:], union):
-                expected = (rep.populations[shape.index(s, m, n)]
+                expected = (pops[shape.index(s, m, n)]
                             if m < shape.vib_dim else 0.0)
                 assert fmt(value) == fmt(expected)
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import lab_reference, scaled_params
 from ghz_sim.errors import (ConfigurationError, TruncationError,
                             UntunedError)
-from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state, partial_trace
+from ghz_sim.fock_core import HilbertShape, basis_state, partial_trace
 from ghz_sim import ghz_protocol
-from ghz_sim.ghz_protocol import (POPULATION_FLOOR, ProtocolSchedule,
-                                  evolve_lab, fidelity, ghz_schedule,
+from ghz_sim.ghz_protocol import (MODEL_TAGS, POPULATION_FLOOR,
+                                  ProtocolSchedule, evolve_lab, ghz_schedule,
                                   protocol_timeseries, pulse_times,
                                   target_state, tune_coupling)
 from ghz_sim.evolution import (EvolutionResult, block_propagator,
@@ -183,63 +183,38 @@ class TestTargetState:
             target_state(("g", 0, 0), HilbertShape(1, 1), m=1, n=1)
 
 
-class TestFidelity:
-    def test_identical_orthogonal_half(self):
-        shape = HilbertShape(2, 2)
-        g00 = basis_state(shape, "g", 0, 0)
-        e11 = basis_state(shape, "e", 1, 1)
-        amps = np.zeros(shape.total_dim, dtype=complex)
-        amps[shape.index("g", 0, 0)] = 1 / math.sqrt(2)
-        amps[shape.index("e", 1, 1)] = -1j / math.sqrt(2)
-        ghz = QuantumState(shape, amps)
-        assert fidelity(g00, g00) == 1.0
-        assert fidelity(g00, e11) == 0.0
-        assert fidelity(ghz, g00) == pytest.approx(0.5, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(basis_state(HilbertShape(2, 2), "g", 0, 0),
-                     basis_state(HilbertShape(3, 3), "g", 0, 0))
-
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 10_000), phase=st.floats(0, 2 * math.pi))
-    def test_symmetric_and_phase_invariant(self, seed, phase):
-        shape = HilbertShape(2, 2)
-        rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(2, shape.total_dim)) \
-            + 1j * rng.normal(size=(2, shape.total_dim))
-        a = QuantumState(shape, raw[0] / np.linalg.norm(raw[0]))
-        b = QuantumState(shape, raw[1] / np.linalg.norm(raw[1]))
-        f = fidelity(a, b)
-        assert 0.0 <= f <= 1.0 + 1e-12
-        assert fidelity(b, a) == pytest.approx(f, abs=1e-12)
-        rotated = QuantumState(shape, np.exp(1j * phase) * a.amplitudes)
-        assert fidelity(rotated, b) == pytest.approx(f, abs=1e-12)
-
-
 class TestRunProtocol:
+    @pytest.mark.parametrize("model", MODEL_TAGS)
+    def test_row_zero_of_a_g00_series_scores_one_half(self, model):
+        # the target is -(1/sqrt2)(|g,0,0> - i|e,1,1>), so the initial
+        # state |g,0,0> has |<target|g,0,0>|^2 = 1/2 in every model
+        shape = HilbertShape(3, 3)
+        schedule = ghz_schedule(scaled_params(Omega=1.0), shape=shape)
+        series = protocol_timeseries(schedule, ("g", 0, 0), model,
+                                     [0.0, schedule.t_p / 50.0])
+        assert abs(series.fidelity[0] - 0.5) <= 1e-15
+
     def test_block_model_reaches_target_exactly(self):
         shape = HilbertShape(2, 2)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         for initial in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):
-            report = protocol_timeseries(
-                schedule, initial, "block_analytic",
-                pulse_times(schedule.t_p, 101)).final
-            assert report.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert report.block_leakage == 0.0
-            assert report.norm == pytest.approx(1.0, abs=1e-12)
+            series = protocol_timeseries(schedule, initial, "block_analytic",
+                                         pulse_times(schedule.t_p, 101))
+            assert series.fidelity[-1] == pytest.approx(1.0, abs=1e-10)
+            assert series.block_leakage[-1] == 0.0
+            assert series.norm[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_ld_full_leaks_out_of_the_block(self):
         shape = HilbertShape(6, 6)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
-        report = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
-                                     pulse_times(schedule.t_p, 101)).final
-        assert report.fidelity < 1.0
-        assert report.block_leakage > 0.0
-        assert report.norm == pytest.approx(1.0, abs=1e-9)
-        assert abs(1.0 - report.populations.sum()) < 1e-4
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                                     pulse_times(schedule.t_p, 101))
+        assert series.fidelity[-1] < 1.0
+        assert series.block_leakage[-1] > 0.0
+        assert series.norm[-1] == pytest.approx(1.0, abs=1e-9)
+        assert abs(1.0 - series.populations[-1].sum()) < 1e-4
 
     def test_carrier_flip_with_g_zero(self):
         # g = 0 for time pi/(2 Omega) is a bare carrier pi-pulse:
@@ -255,17 +230,15 @@ class TestRunProtocol:
                                     p=1, t_p=t)
         series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
                                      [0.0, t])
-        final = series.final
-        assert np.flatnonzero(final.populations).tolist() == \
-            [shape.index("e", 0, 0)]
-        assert final.populations[shape.index("e", 0, 0)] == \
-            pytest.approx(1.0)
-        assert final.fidelity == pytest.approx(0.0, abs=1e-12)
-        flipped_target = target_state(("e", 0, 0), shape)
+        pops = series.populations[-1]
+        assert np.flatnonzero(pops).tolist() == [shape.index("e", 0, 0)]
+        assert pops[shape.index("e", 0, 0)] == pytest.approx(1.0)
+        assert series.fidelity[-1] == pytest.approx(0.0, abs=1e-12)
+        flipped_target = target_state(("e", 0, 0), shape).amplitudes
         state_amps = np.zeros(shape.total_dim, dtype=complex)
         state_amps[shape.index("e", 0, 0)] = -1j
-        assert fidelity(QuantumState(shape, state_amps), flipped_target) \
-            == pytest.approx(0.5, abs=1e-12)
+        assert abs(np.vdot(flipped_target, state_amps)) ** 2 == \
+            pytest.approx(0.5, abs=1e-12)
 
     def test_truncation_error_prescribes_larger_shape(self):
         shape = HilbertShape(3, 3)
@@ -301,6 +274,26 @@ class TestRunProtocol:
         rwa = protocol_timeseries(schedule, ("g", 0, 0), "rwa_full", times)
         assert lab.fidelity[-1] == pytest.approx(rwa.fidelity[-1], abs=5e-3)
         assert lab.norm[-1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_a_default_step_beyond_the_work_bound_is_refused_unstepped(
+            self, monkeypatch):
+        # at omega_L = 0 no period caps the step, and the drift target at
+        # H's undressed spectral radius (9.0e10 rad/s) sets 1.5e-13 s, about
+        # 2.2e6 steps: refused as the default step before any integration
+        params = replace(scaled_params(), omega_L=0.0)
+        shape = HilbertShape(3, 3)
+        schedule = ghz_schedule(params, shape=shape)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the integrator was called")
+
+        monkeypatch.setattr(ghz_protocol, "evolve_timedep", engine)
+        with pytest.raises(ConfigurationError,
+                           match=r"^the default lab step dt = .* more than "
+                                 r"MAX_RK4_STEPS = 1,000,000; .*spectral "
+                                 r"radius .* give a config dt"):
+            evolve_lab(params, basis_state(shape, "g", 0, 0),
+                       pulse_times(schedule.t_p, 101))
 
     @pytest.mark.parametrize("omega_L", [4000.0, 0.0])
     def test_lab_run_passes_the_laser_period(self, monkeypatch, omega_L):
@@ -476,11 +469,6 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     assert series.block_leakage.tolist() == leak
     assert series.populations.tolist() == pops
     assert series.populations.shape == (len(times), shape.total_dim)
-    final = series.final
-    assert (final.fidelity, final.norm, final.block_leakage) == \
-        (fid[-1], norm[-1], leak[-1])
-    assert final.populations.tolist() == pops[-1]
-    assert final.populations.base is None   # a copy of one row, not a view
     with pytest.raises(ValueError):
         series.fidelity[0] = 0.0
 

@@ -16,15 +16,13 @@ def run_script(capsys, name, *argv):
 
 
 def test_leakage_study(capsys):
+    # the script scores its own runs (its small shapes lie above the
+    # protocol's truncation guard); this line pins that scoring to the digit
     lines = run_script(capsys, "leakage_study", "--eta-c", "0.05",
                        "--dims", "6")
-    assert lines[0] == ("eta_c,dim,fidelity,block_leakage,"
-                        "max_top_level_population")
-    assert len(lines) == 2
-    eta_c, dim, fid, leak, top = lines[1].split(",")
-    assert (eta_c, dim) == ("0.05", "6")
-    assert 0.0 < float(fid) < 1.0
-    assert float(leak) > 0.0 and float(top) > 0.0
+    assert lines == ["eta_c,dim,fidelity,block_leakage,"
+                     "max_top_level_population",
+                     "0.05,6,0.788185935,3.743662e-02,1.653e-06"]
 
 
 def test_rwa_error_study(capsys):
