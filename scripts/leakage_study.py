@@ -9,13 +9,9 @@ top-level population seen along the pulse (the truncation diagnostic)."""
 
 import argparse
 
-import numpy as np
-
-from ghz_sim.evolution import evolve_static
-from ghz_sim.fock_core import HilbertShape, basis_state
-from ghz_sim.ghz_protocol import ghz_schedule, target_state
-from ghz_sim.hamiltonian import (SystemParams, block_basis_labels,
-                                 build_ld_hamiltonian, build_rwa_hamiltonian)
+from ghz_sim import (HilbertShape, SystemParams, TruncationError,
+                     ghz_schedule, protocol_timeseries)
+from ghz_sim.ghz_protocol import LD_FULL, RWA_FULL, pulse_times
 
 OMEGA = 8.95e6
 NU = 20.0 * OMEGA
@@ -28,22 +24,14 @@ def study_point(eta_c: float, dim: int, model: str):
                           omega_L=OMEGA_0)
     shape = HilbertShape(dim, dim)
     schedule = ghz_schedule(params, shape=shape, tune=True)
-
-    build = build_rwa_hamiltonian if model == "rwa" else build_ld_hamiltonian
-    h = build(schedule.params, shape)
-    psi0 = basis_state(shape, "g", 0, 0)
-    times = np.linspace(0.0, schedule.t_p, 101)
-    result = evolve_static(h, psi0, times)
-
-    # scored here, not by protocol_timeseries: the small shapes this study
-    # reports lie above its truncation guard
-    final = result.amplitudes[-1]
-    target = target_state(("g", 0, 0), shape).amplitudes
-    block_idx = [shape.index(*lbl) for lbl in block_basis_labels(1, 1)]
-    pops = np.abs(final) ** 2
-    leak = 1.0 - sum(pops[i] for i in block_idx)
-    worst_top = result.truncation_leak.max()
-    return abs(np.vdot(target, final)) ** 2, leak, worst_top
+    try:
+        series = protocol_timeseries(
+            schedule, ("g", 0, 0), RWA_FULL if model == "rwa" else LD_FULL,
+            pulse_times(schedule.t_p, 101))
+    except TruncationError as exc:   # a shape too small, scored all the same
+        series = exc.series
+    return (series.fidelity[-1], series.block_leakage[-1],
+            series.truncation_leak.max())
 
 
 def main(argv=None):

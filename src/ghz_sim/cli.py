@@ -44,9 +44,10 @@ from .fock_core import HilbertShape, ION_LABELS
 from .evolution import (require_bounded_work, require_resolved_step,
                         require_sample_times)
 from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
-                           ProtocolSchedule, ghz_schedule, lab_period,
-                           parse_label, protocol_timeseries, pulse_times)
-from .hamiltonian import SystemParams
+                           ProtocolSchedule, default_lab_dt, ghz_schedule,
+                           lab_period, parse_label, protocol_timeseries,
+                           pulse_times)
+from .hamiltonian import SystemParams, rotating_frame_energies
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
 US = 1e-6   # seconds per microsecond
@@ -144,7 +145,7 @@ def build_params(config: dict) -> tuple[SystemParams, bool]:
                 f"{key} must be a number, got {config[key]!r}")
         return value
 
-    values = {key: 0.0 if config[key] is None else number(key) * scale
+    values = {key: 0.0 if key == "g" and tune else number(key) * scale
               for key in FREQ_KEYS}
     values.update((key, number(key)) for key in ("eta_L", "eta_c", "phi"))
     try:
@@ -427,7 +428,8 @@ def resolve_run(config: dict) -> Run:
     held as given, the shape must hold the (m, n) block, a dt is refused
     on a static model, a lab dt must resolve the period of H(t), the pulse
     must hold n_times distinct samples, and a lab run must stay inside the
-    work bound."""
+    work bound (its default step counted at a lower bound of H's spectral
+    radius)."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -465,6 +467,11 @@ def resolve_run(config: dict) -> Run:
             f"n_times must give a strictly increasing time grid") from None
     if model == LAB_FRAME:
         require_bounded_work(dt, period, times)
+        if dt is None:
+            # H(0)'s diagonal bounds its spectral radius from below, so a
+            # refusal here holds for the run (see default_lab_dt)
+            default_lab_dt(float(np.max(np.abs(rotating_frame_energies(
+                schedule.params, shape)))), period, times)
     return Run(schedule, initial, model, times, dt)
 
 

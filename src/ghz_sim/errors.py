@@ -40,4 +40,8 @@ class AccuracyError(GhzSimError, RuntimeError):
 
 class TruncationError(GhzSimError, RuntimeError):
     """Fock-space truncation too small for the requested run; the message
-    prescribes a larger shape."""
+    prescribes a larger shape, ``series`` holds the refused run's scores."""
+
+    def __init__(self, message: str, series=None):
+        super().__init__(message)
+        self.series = series

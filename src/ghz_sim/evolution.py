@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,9 +98,9 @@ class EvolutionResult:
     a complex array passed in is marked read-only, not copied.
     ``truncation_leak[i]`` is that row's population in the top vibrational
     or top cavity level, the truncation diagnostic, and ``norms[i]`` its
-    norm, taken on first read for every row at once and bit for bit
-    ``np.linalg.norm`` of that row, both read-only; ``norm_drift`` is the
-    largest deviation of any norm from 1 seen by the engine, by default
+    norm, bit for bit ``np.linalg.norm`` of that row; both are taken on
+    first read for every row at once and are read-only. ``norm_drift`` is
+    the largest deviation of any norm from 1 seen by the engine, by default
     that of ``norms``.
     """
 
@@ -108,7 +108,6 @@ class EvolutionResult:
     amplitudes: np.ndarray
     shape: HilbertShape
     norm_drift: float | None = None
-    truncation_leak: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = require_sample_times(self.times)
@@ -120,16 +119,19 @@ class EvolutionResult:
         amps.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
-        # compress keeps each row contiguous, so every row is summed in the
-        # same order as a one-dimensional sum of that state's populations;
-        # squared in place, the same x * x as ** 2 without another copy
-        top = np.abs(amps.compress(_top_level_mask(self.shape), axis=1))
-        leak = np.sum(np.square(top, out=top), axis=1)
-        leak.flags.writeable = False
-        object.__setattr__(self, "truncation_leak", leak)
         if self.norm_drift is None:
             object.__setattr__(self, "norm_drift", float(
                 np.max(np.abs(self.norms - 1.0), initial=0.0)))
+
+    @functools.cached_property
+    def truncation_leak(self) -> np.ndarray:
+        # compress keeps each row contiguous, so every row is summed in the
+        # same order as a one-dimensional sum of that state's populations;
+        # squared in place, the same x * x as ** 2 without another copy
+        top = np.abs(self.amplitudes.compress(_top_level_mask(self.shape), 1))
+        leak = np.sum(np.square(top, out=top), axis=1)
+        leak.flags.writeable = False
+        return leak
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
@@ -182,9 +184,9 @@ def block_propagator(block: BlockParams,
     u[..., 2, 3] = -1j * ratio_o * ca * sm
     u[..., 1, 3] = -ratio_o * sa * sm
     u[..., 0, 3] = -1j * (ratio_a * ca * sm + sa * cm)
-    # initial |g,m,n> and |e,m,n>: permutation images of columns 3 and 2
-    u[..., 0] = u[..., 3] @ BLOCK_PERMUTATION.T
-    u[..., 1] = u[..., 2] @ BLOCK_PERMUTATION.T
+    # initial |g,m,n> and |e,m,n>: permutation images of columns 3 and 2,
+    # BLOCK_PERMUTATION being the reversal of the block order
+    u[..., :2] = u[..., ::-1, 3:1:-1]
     return u
 
 

@@ -78,14 +78,16 @@ class ProtocolSchedule:
 @dataclass(frozen=True)
 class ProtocolSeries:
     """Scores of one protocol run as read-only arrays, row i at ``times[i]``:
-    (T,) ``fidelity``, ``norm``, ``block_leakage`` and (T, shape.total_dim)
-    ``populations`` (column ``shape.index(s, m, n)``; 0 at or below floor)."""
+    (T,) ``fidelity``, ``norm``, ``block_leakage``, ``truncation_leak`` and
+    (T, shape.total_dim) ``populations`` (column ``shape.index(s, m, n)``; 0
+    at or below floor)."""
 
     shape: HilbertShape
     times: np.ndarray
     fidelity: np.ndarray
     norm: np.ndarray
     block_leakage: np.ndarray
+    truncation_leak: np.ndarray
     populations: np.ndarray
 
 
@@ -141,15 +143,22 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
             raise ConfigurationError(
                 f"{key} must be >= 1 (the block pairs levels {key} - 1 and "
                 f"{key}), got {level!r}")
+    if p < 1:
+        raise ConfigurationError(f"pulse index p must be >= 1, got {p!r}")
+    cos_phi = math.cos(params.phi)
+    if tune and abs(cos_phi) < 1e-12:
+        raise ConfigurationError(
+            "cannot tune the coupling: effective coupling g cos(phi) "
+            f"vanishes at phi = {params.phi!r}")
+    if cos_phi < 0:
+        raise ConfigurationError(
+            f"effective coupling g cos(phi) is negative at phi = "
+            f"{params.phi!r} (cos(phi) = {cos_phi:.3e}), so no g >= 0 meets "
+            f"the GHZ condition; use a phi with cos(phi) > 0")
     if shape is None:
         shape = HilbertShape(vib_dim=m + 1, cav_dim=n + 1)
     if tune:
         g_eff = tune_coupling(params.Omega, params.eta_c, p) / math.sqrt(m * n)
-        cos_phi = math.cos(params.phi)
-        if abs(cos_phi) < 1e-12:
-            raise ConfigurationError(
-                "cannot tune the coupling: effective coupling g cos(phi) "
-                f"vanishes at phi = {params.phi!r}")
         params = replace(params, g=g_eff / cos_phi)
     block = BlockParams.from_params(params, m, n)
     ratio = block.mu / block.a if block.a != 0.0 else math.inf
@@ -160,33 +169,36 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                             t_p=p * math.pi / block.mu)
 
 
-def _default_lab_dt(source, period: float | None,
-                    times: np.ndarray) -> float:
-    """Step size for a lab-frame run in the laser frame: inside the
-    resolution guard of its period T (none when there is no period:
-    the Hamiltonian is static) and small enough that the accumulated RK4
-    norm drift (about t lambda^6 dt^5 / 144, lambda the spectral radius of H)
-    stays an order of magnitude below the 1e-6 drift limit. The unitarity
-    bound of a period run, which takes the worst-damped direction and so
-    reads about twice that drift, stays below the limit too. A step beyond
-    MAX_RK4_STEPS is refused, named as the default step and by what sets it."""
+def default_lab_dt(lam: float, period: float | None,
+                   times: np.ndarray) -> float:
+    """Step size for a lab-frame run in the laser frame, with lam the
+    spectral radius of H: inside the resolution guard of its period T (none
+    when there is no period: the Hamiltonian is static) and small enough
+    that the accumulated RK4 norm drift (about t lam^6 dt^5 / 144) stays an
+    order of magnitude below the 1e-6 drift limit. The unitarity bound of a
+    period run, which takes the worst-damped direction and so reads about
+    twice that drift, stays below the limit too. A step beyond MAX_RK4_STEPS
+    is refused, named as the default step and by what sets it.
+
+    The step falls as lam rises, and the step count rises as the step
+    falls, so a lam below the spectral radius gives a step at least the
+    run's, and its refusal holds for the run too."""
     t_end = float(times[-1])
     dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
     if t_end <= 0:
         return dt
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
     if lam > 0:
         dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
     steps = rk4_step_count(dt, period, times)
     if steps > MAX_RK4_STEPS:
         raise ConfigurationError(
-            f"the default lab step dt = {dt:.3e} s takes about {steps:.3g} "
-            f"RK4 steps over {len(times):,} sample times, more than "
-            f"MAX_RK4_STEPS = {MAX_RK4_STEPS:,}; that step is the largest "
-            f"that keeps the RK4 norm drift below its target over t = "
-            f"{t_end:.3e} s at the spectral radius {lam:.3e} rad/s of H, so "
-            f"give a config dt, shorten the pulse (t or p) or use a smaller "
-            f"shape")
+            f"the default lab step dt is at most {dt:.3e} s and takes about "
+            f"{steps:.3g} RK4 steps or more over {len(times):,} sample "
+            f"times, more than MAX_RK4_STEPS = {MAX_RK4_STEPS:,}; that step "
+            f"is the largest that keeps the RK4 norm drift below its target "
+            f"over t = {t_end:.3e} s at the spectral radius of H, which is at "
+            f"least {lam:.3e} rad/s, so give a config dt, shorten the pulse "
+            f"(t or p) or use a smaller shape")
     return dt
 
 
@@ -216,7 +228,9 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     period = lab_period(params)
     t_end = float(times[-1])
     if dt is None:
-        dt = _default_lab_dt(source, period, times)
+        dt = default_lab_dt(
+            float(np.max(np.abs(np.linalg.eigvalsh(source(0.0))))), period,
+            times)
     return to_interaction_picture(
         evolve_timedep(source, initial, t_end=t_end, dt=dt,
                        store_times=times, period=period),
@@ -226,8 +240,7 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
 def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
                    model: str, times: np.ndarray,
                    dt: float | None) -> EvolutionResult:
-    """Evolve the initial basis state to each requested time under the model;
-    full-space runs pass the truncation guard first."""
+    """Evolve the initial basis state to each sample time under the model."""
     params, shape = schedule.params, schedule.shape
     initial = basis_state(shape, *initial_label)
 
@@ -251,12 +264,6 @@ def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
     else:
         raise ValueError(
             f"unknown model {model!r}, expected one of {MODEL_TAGS}")
-    worst = result.truncation_leak.max()
-    if worst > TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
-            f"rerun with shape at least "
-            f"{shape.vib_dim + 2}x{shape.cav_dim + 2}")
     return result
 
 
@@ -265,7 +272,10 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
                         dt: float | None = None) -> ProtocolSeries:
     """Run the protocol and score the state at every requested time: per
     time |<target|psi>|^2, the norm, the population outside the 4-state block
-    (0 for the block model) and the floored basis populations."""
+    (0 for the block model), the top-level population and the floored basis
+    populations. A full-space run whose top-level population exceeds
+    TRUNCATION_LIMIT is refused once scored, its TruncationError carrying
+    the series."""
     shape = schedule.shape
     times = np.asarray(times, dtype=float)
     target = target_state(initial_label, shape, m=schedule.block.m,
@@ -288,10 +298,18 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     # scalar ones, since the array np.abs does not round alike
     fid = np.array([abs(z) ** 2
                     for z in np.vecdot(target, result.amplitudes)])
-    series = (result.times.copy(), fid, result.norms, leakage, pops)
-    for values in series:
+    arrays = (result.times.copy(), fid, result.norms, leakage,
+              result.truncation_leak, pops)
+    for values in arrays:
         values.flags.writeable = False
-    return ProtocolSeries(shape, *series)
+    series = ProtocolSeries(shape, *arrays)
+    worst = series.truncation_leak.max()
+    if model != BLOCK_ANALYTIC and worst > TRUNCATION_LIMIT:
+        raise TruncationError(
+            f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
+            f"rerun with shape at least "
+            f"{shape.vib_dim + 2}x{shape.cav_dim + 2}", series=series)
+    return series
 
 
 def pulse_times(t_p: float, n_times: int) -> np.ndarray:

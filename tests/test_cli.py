@@ -307,18 +307,24 @@ class TestExitCodes:
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command", [("ghz",), ("sweep", "eta_c", "0.05")])
-    @pytest.mark.parametrize("key, raw", [("m", 0), ("n", 0), ("m", -1)])
+    @pytest.mark.parametrize("key, raw", [("m", 0), ("n", 0), ("m", -1),
+                                          ("p", 0), ("p", -1)])
     def test_block_level_below_one_exits_two(self, tmp_path, capsys, command,
                                              key, raw):
-        # refused before the coupling is tuned, which divides by sqrt(m n)
-        cfg = tmp_path / "block.json"
-        cfg.write_text(json.dumps({key: raw}))
-        out_file = tmp_path / "x.csv"
-        rc = run_cli(*command, "--config", str(cfg), "--output",
-                     str(out_file))
-        assert rc == 2
-        assert f"{key} must be >= 1" in capsys.readouterr().err
-        assert not out_file.exists()
+        # refused before the coupling is tuned, which divides by sqrt(m n),
+        # and with one message for a held g (once "required 0" for p)
+        errors = []
+        for config in ({key: raw}, {key: raw, "g": 1.0}):
+            cfg = tmp_path / "block.json"
+            cfg.write_text(json.dumps(config))
+            out_file = tmp_path / "x.csv"
+            rc = run_cli(*command, "--config", str(cfg), "--output",
+                         str(out_file))
+            assert rc == 2
+            errors.append(capsys.readouterr().err)
+            assert not out_file.exists()
+        assert f"{key} must be >= 1" in errors[0]
+        assert errors[1] == errors[0]
 
     @pytest.mark.parametrize("argv, config, message", [
         (("ghz", "--model", "rwa", "--shape", "1x1"), {},
@@ -382,15 +388,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, dt, message", [
         (("ghz",), None,
-         "the default lab step dt = 2.357e-16 s takes about 1.44e+09 RK4 "
-         "steps over 101 sample times, more than MAX_RK4_STEPS = 1,000,000; "
-         "that step is the largest that keeps the RK4 norm drift below its "
-         "target over t = 3.399e-07 s at the spectral radius 1.969e+13 "
-         "rad/s of H, so give a config dt, shorten the pulse (t or p) or "
-         "use a smaller shape"),
+         "the default lab step dt is at most 2.357e-16 s and takes about "
+         "1.44e+09 RK4 steps or more over 101 sample times, more than "
+         "MAX_RK4_STEPS = 1,000,000; that step is the largest that keeps "
+         "the RK4 norm drift below its target over t = 3.399e-07 s at the "
+         "spectral radius of H, which is at least 1.969e+13 rad/s, so give "
+         "a config dt, shorten the pulse (t or p) or use a smaller shape"),
         (("sweep", "eta_c", "0.05"), None,
-         "sweep point eta_c = 0.05: the default lab step dt = 2.357e-16 s "
-         "takes about 1.44e+09 RK4 steps"),
+         "sweep point eta_c = 0.05: the default lab step dt is at most "
+         "2.357e-16 s and takes about 1.44e+09 RK4 steps or more"),
         (("ghz",), 1e-9,
          "dt = 1.000e-15 s takes about 3.4e+08 RK4 steps over 101 sample "
          "times, more than MAX_RK4_STEPS = 1,000,000; raise dt"),
@@ -440,6 +446,11 @@ class TestExitCodes:
         ({"eta_L": None}, "eta_L must be a number, got None"),
         ({"eta_c": None}, "eta_c must be a number, got None"),
         ({"Omega": [1]}, "Omega must be a number, got [1]"),
+        ({"Omega": None}, "Omega must be a number, got None"),
+        ({"nu": None, "model": "block"}, "nu must be a number, got None"),
+        ({"omega_0": None}, "omega_0 must be a number, got None"),
+        ({"omega_c": None}, "omega_c must be a number, got None"),
+        ({"omega_L": None}, "omega_L must be a number, got None"),
         ({"phi": "x"}, "phi must be a number, got 'x'"),
         ({"shape": 66}, "bad shape 66"),
         ({"initial": None}, "bad initial state label None"),
@@ -877,7 +888,21 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv, config, message", [
         (("phi", "0,1.5707963267948966", "--model", "block"), {},
          "vanishes at phi"),
+        (("phi", "0,2", "--model", "block"), {},
+         "sweep point phi = 2.0: effective coupling g cos(phi) is negative "
+         "at phi = 2.0 (cos(phi) = -4.161e-01), so no g >= 0 meets the GHZ "
+         "condition"),
         (("vib_dim", "6,100000000", "--model", "ld"), {}, "physical memory"),
+        # H(0)'s diagonal bounds the spectral radius of H (9.934e8 rad/s)
+        # from below, so p = 100 is refused before p = 1 runs
+        (("p", "1,100", "--model", "lab"),
+         {"omega_L": 0, "omega_0": 0, "omega_c": 0},
+         "sweep point p = 100: the default lab step dt is at most "
+         "1.351e-11 s and takes about 2.6e+06 RK4 steps or more over 101 "
+         "sample times, more than MAX_RK4_STEPS = 1,000,000; that step is "
+         "the largest that keeps the RK4 norm drift below its target over "
+         "t = 3.510e-05 s at the spectral radius of H, which is at least "
+         "9.845e+08 rad/s"),
         (("eta_c", "0.05,0.1", "--model", "ld"), {"g": 46.21760126474184},
          "config key g")])
     def test_every_point_is_resolved_before_the_first_runs(

@@ -244,9 +244,18 @@ class TestRunProtocol:
         shape = HilbertShape(3, 3)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
-        with pytest.raises(TruncationError, match="5x5"):
-            protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
-                                pulse_times(schedule.t_p, 101))
+        times = pulse_times(schedule.t_p, 101)
+        with pytest.raises(TruncationError, match="5x5") as refused:
+            protocol_timeseries(schedule, ("g", 0, 0), "ld_full", times)
+        # refused after scoring: the error carries the refused run's scores
+        series = refused.value.series
+        leak = ghz_protocol._evolve_states(schedule, ("g", 0, 0), "ld_full",
+                                           times, None).truncation_leak
+        assert series.truncation_leak.tolist() == leak.tolist()
+        assert str(refused.value) == (
+            f"top-level population {leak.max():.3e} exceeds 1.0e-04; rerun "
+            f"with shape at least 5x5")
+        assert series.times.tolist() == times.tolist()
 
     def test_block_model_rejects_states_outside_block(self):
         shape = HilbertShape(4, 4)
@@ -289,9 +298,9 @@ class TestRunProtocol:
 
         monkeypatch.setattr(ghz_protocol, "evolve_timedep", engine)
         with pytest.raises(ConfigurationError,
-                           match=r"^the default lab step dt = .* more than "
-                                 r"MAX_RK4_STEPS = 1,000,000; .*spectral "
-                                 r"radius .* give a config dt"):
+                           match=r"^the default lab step dt is at most "
+                                 r".* more than MAX_RK4_STEPS = 1,000,000; "
+                                 r".*spectral radius .* give a config dt"):
             evolve_lab(params, basis_state(shape, "g", 0, 0),
                        pulse_times(schedule.t_p, 101))
 
@@ -455,10 +464,10 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     times = np.linspace(0.0, t_end, 5 if model == "lab_frame" else 101)
     initial = ("e", 0, 0)
     series = protocol_timeseries(schedule, initial, model, times)
-    amps = ghz_protocol._evolve_states(schedule, initial, model, times,
-                                       None).amplitudes
+    result = ghz_protocol._evolve_states(schedule, initial, model, times,
+                                         None)
     fid, norm, leak, pops = per_row_scores(
-        amps, target_state(initial, shape).amplitudes,
+        result.amplitudes, target_state(initial, shape).amplitudes,
         [shape.index(*lbl) for lbl in block_basis_labels(1, 1)])
     if model == "block_analytic":
         leak = [0.0] * len(times)
@@ -467,6 +476,7 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     assert series.fidelity.tolist() == fid
     assert series.norm.tolist() == norm
     assert series.block_leakage.tolist() == leak
+    assert series.truncation_leak.tolist() == result.truncation_leak.tolist()
     assert series.populations.tolist() == pops
     assert series.populations.shape == (len(times), shape.total_dim)
     with pytest.raises(ValueError):
@@ -488,8 +498,12 @@ def test_fidelity_is_one_vdot_per_row_bit_for_bit(monkeypatch, side,
     monkeypatch.setattr(ghz_protocol, "_evolve_states",
                         lambda *run: EvolutionResult(run[3], amps, shape))
     schedule = ghz_schedule(scaled_params(), shape=shape)
-    series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
-                                 np.arange(float(n_times)))
+    # such rows lie far above the truncation guard, which refuses them
+    # after they are scored and carries the scores
+    with pytest.raises(TruncationError) as refused:
+        protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+                            np.arange(float(n_times)))
+    series = refused.value.series
     target = target_state(("g", 0, 0), shape).amplitudes
     assert series.fidelity.tolist() == [
         float(abs(np.vdot(target, row)) ** 2) for row in amps]

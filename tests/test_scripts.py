@@ -16,12 +16,14 @@ def run_script(capsys, name, *argv):
 
 
 def test_leakage_study(capsys):
-    # the script scores its own runs (its small shapes lie above the
-    # protocol's truncation guard); this line pins that scoring to the digit
+    # the script reads its runs from protocol_timeseries, and a shape above
+    # the truncation guard (3) from the scores its TruncationError carries;
+    # these lines pin both to the digit
     lines = run_script(capsys, "leakage_study", "--eta-c", "0.05",
-                       "--dims", "6")
+                       "--dims", "3,6")
     assert lines == ["eta_c,dim,fidelity,block_leakage,"
                      "max_top_level_population",
+                     "0.05,3,0.789855860,3.657440e-02,3.657e-02",
                      "0.05,6,0.788185935,3.743662e-02,1.653e-06"]
 
 
