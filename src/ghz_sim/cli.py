@@ -41,13 +41,11 @@ import numpy as np
 from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
-from .evolution import (require_bounded_work, require_resolved_step,
-                        require_sample_times)
+from .evolution import require_sample_times
 from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
-                           ProtocolSchedule, default_lab_dt, ghz_schedule,
-                           lab_period, parse_label, protocol_timeseries,
-                           pulse_times)
-from .hamiltonian import SystemParams, rotating_frame_energies
+                           ProtocolSchedule, ghz_schedule, lab_step,
+                           parse_label, protocol_timeseries, pulse_times)
+from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
 US = 1e-6   # seconds per microsecond
@@ -423,13 +421,12 @@ def require_stepped(model: str, what: str, consequence: str):
 
 
 def resolve_run(config: dict) -> Run:
-    """Check a loaded config and turn it into one run, allocating nothing
-    large and evolving nothing; a null g tunes the coupling, a number is
-    held as given, the shape must hold the (m, n) block, a dt is refused
-    on a static model, a lab dt must resolve the period of H(t), the pulse
-    must hold n_times distinct samples, and a lab run must stay inside the
-    work bound (its default step counted at a lower bound of H's spectral
-    radius)."""
+    """Parse a loaded config into one run, allocating nothing large and
+    evolving nothing: a null g tunes the coupling, a number is held as
+    given, and a dt is refused on a static model. :func:`ghz_schedule`,
+    :func:`pulse_times` and, for a lab run, :func:`lab_step` (its default
+    step counted at H(0)'s diagonal, a lower bound of H's spectral radius)
+    refuse a run that cannot be done."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -443,20 +440,13 @@ def resolve_run(config: dict) -> Run:
         raise ConfigurationError(
             f"{exc.condition}; the config key g = {config['g']!r} is held as "
             f"given (a null g is tuned)") from None
-    if shape.vib_dim <= m or shape.cav_dim <= n:
-        raise ConfigurationError(
-            f"shape {shape.vib_dim}x{shape.cav_dim} cannot hold the (m, n) = "
-            f"({m}, {n}) block; the smallest shape that holds it is "
-            f"{m + 1}x{n + 1}")
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
-    dt, period = config_time(config, "dt"), lab_period(params)
+    dt = config_time(config, "dt")
     if dt is not None:
         require_stepped(model, f"config key dt = {config['dt']!r}",
                         "it would be ignored")
-        if period is not None:
-            require_resolved_step(dt, period)
     times = pulse_times(schedule.t_p, n_times)
     try:
         require_sample_times(times)
@@ -466,12 +456,8 @@ def resolve_run(config: dict) -> Run:
             f"n_times = {n_times} distinct samples; the config keys t and "
             f"n_times must give a strictly increasing time grid") from None
     if model == LAB_FRAME:
-        require_bounded_work(dt, period, times)
-        if dt is None:
-            # H(0)'s diagonal bounds its spectral radius from below, so a
-            # refusal here holds for the run (see default_lab_dt)
-            default_lab_dt(float(np.max(np.abs(rotating_frame_energies(
-                schedule.params, shape)))), period, times)
+        # the refusal only: evolve_lab picks a run's default step itself
+        lab_step(schedule.params, shape, times, dt)
     return Run(schedule, initial, model, times, dt)
 
 

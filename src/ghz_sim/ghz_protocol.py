@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError, UntunedError
 from .evolution import (MAX_RK4_STEPS, STEPS_PER_PERIOD, EvolutionResult,
                         block_propagator, evolve_static, evolve_timedep,
+                        require_bounded_work, require_resolved_step,
                         require_sample_times, rk4_step_count,
                         to_interaction_picture)
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
-                          rotating_frame_source)
+                          rotating_frame_energies, rotating_frame_source)
 
 MODEL_TAGS = ("block_analytic", "ld_full", "rwa_full", "lab_frame")
 BLOCK_ANALYTIC, LD_FULL, RWA_FULL, LAB_FRAME = MODEL_TAGS
@@ -135,8 +136,10 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
 
     With ``tune`` the coupling is replaced so that the effective coupling
     g cos(phi) satisfies the condition a t_p = pi / 4; otherwise the params
-    must already satisfy mu / a = 4 p (relative tolerance 1e-9). The shape
-    defaults to the smallest one that holds the block, (m + 1) x (n + 1).
+    must already satisfy mu / a = 4 p (relative tolerance 1e-9); either
+    way a vanishing or negative cos(phi) is refused. The shape defaults to
+    the smallest one that holds the block, (m + 1) x (n + 1), and a smaller
+    one is refused.
     """
     for key, level in (("m", m), ("n", n)):
         if level < 1:
@@ -146,10 +149,10 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
     if p < 1:
         raise ConfigurationError(f"pulse index p must be >= 1, got {p!r}")
     cos_phi = math.cos(params.phi)
-    if tune and abs(cos_phi) < 1e-12:
+    if abs(cos_phi) < 1e-12:
         raise ConfigurationError(
-            "cannot tune the coupling: effective coupling g cos(phi) "
-            f"vanishes at phi = {params.phi!r}")
+            f"effective coupling g cos(phi) vanishes at phi = {params.phi!r}, "
+            f"so no g meets the GHZ condition")
     if cos_phi < 0:
         raise ConfigurationError(
             f"effective coupling g cos(phi) is negative at phi = "
@@ -165,28 +168,48 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
     if abs(ratio - 4.0 * p) > TUNING_RTOL * 4.0 * p:
         raise UntunedError(f"params are not tuned for a GHZ pulse with "
                            f"p={p}: mu/a = {ratio!r}, required {4 * p}")
+    if shape.vib_dim <= m or shape.cav_dim <= n:
+        raise ConfigurationError(
+            f"shape {shape.vib_dim}x{shape.cav_dim} cannot hold the (m, n) = "
+            f"({m}, {n}) block; the smallest shape that holds it is "
+            f"{m + 1}x{n + 1}")
     return ProtocolSchedule(params=params, shape=shape, block=block, p=p,
                             t_p=p * math.pi / block.mu)
 
 
-def default_lab_dt(lam: float, period: float | None,
-                   times: np.ndarray) -> float:
-    """Step size for a lab-frame run in the laser frame, with lam the
-    spectral radius of H: inside the resolution guard of its period T (none
-    when there is no period: the Hamiltonian is static) and small enough
-    that the accumulated RK4 norm drift (about t lam^6 dt^5 / 144) stays an
-    order of magnitude below the 1e-6 drift limit. The unitarity bound of a
-    period run, which takes the worst-damped direction and so reads about
-    twice that drift, stays below the limit too. A step beyond MAX_RK4_STEPS
-    is refused, named as the default step and by what sets it.
+def lab_step(params: SystemParams, shape: HilbertShape, times: np.ndarray,
+             dt: float | None = None, source: Callable[[float], np.ndarray]
+             | None = None) -> tuple[float, float | None]:
+    """The step and period of a lab-frame run to each of ``times``, or a
+    ConfigurationError that names why it cannot be run. The period of H(t)
+    is pi / omega_L (None at omega_L = 0: H is static). A given dt must meet
+    its resolution guard (:func:`require_resolved_step`), and the run must
+    stay inside the work bound (:func:`require_bounded_work`).
 
-    The step falls as lam rises, and the step count rises as the step
-    falls, so a lam below the spectral radius gives a step at least the
-    run's, and its refusal holds for the run too."""
+    Without a dt the step is the largest that keeps the accumulated RK4 norm
+    drift (about t lam^6 dt^5 / 144) an order of magnitude below the 1e-6
+    drift limit, and at most T / STEPS_PER_PERIOD / 1.28. The unitarity
+    bound of a period run, which takes the worst-damped direction and so
+    reads about twice that drift, stays below the limit too. lam bounds the
+    spectral radius of H: that of ``source(0)`` when a source is given, else
+    H(0)'s diagonal, which builds no matrix. The step falls as lam rises, and
+    the step count rises as the step falls, so a lam below the spectral
+    radius gives a step at least the run's, and its refusal holds for the
+    run too. A default step beyond MAX_RK4_STEPS is refused, named as the
+    default step and by what sets it."""
+    period = math.pi / params.omega_L if params.omega_L > 0 else None
+    if dt is not None and period is not None:
+        require_resolved_step(dt, period)
+    require_bounded_work(dt, period, times)
+    if dt is not None:
+        return dt, period
     t_end = float(times[-1])
     dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
     if t_end <= 0:
-        return dt
+        return dt, period
+    lam = float(np.max(np.abs(
+        np.linalg.eigvalsh(source(0.0)) if source is not None
+        else rotating_frame_energies(params, shape))))
     if lam > 0:
         dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
     steps = rk4_step_count(dt, period, times)
@@ -199,12 +222,7 @@ def default_lab_dt(lam: float, period: float | None,
             f"over t = {t_end:.3e} s at the spectral radius of H, which is at "
             f"least {lam:.3e} rad/s, so give a config dt, shorten the pulse "
             f"(t or p) or use a smaller shape")
-    return dt
-
-
-def lab_period(params: SystemParams) -> float | None:
-    """Period pi / omega_L of the laser-frame H(t); None (static) at 0."""
-    return math.pi / params.omega_L if params.omega_L > 0 else None
+    return dt, period
 
 
 def evolve_lab(params: SystemParams, initial: QuantumState,
@@ -217,22 +235,16 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     (:func:`rotating_frame_source`), where only C exp(-2i omega_L t) and its
     conjugate stay time dependent, so H_rot has period T = pi / omega_L
     (none at omega_L = 0: H_rot is then static). :func:`evolve_timedep`
-    integrates one such period with steps of at most ``dt`` (by default the
-    largest step that keeps the RK4 norm drift well inside its limit, and
-    at most T / STEPS_PER_PERIOD / 1.28), and one composed diagonal phase
-    (:func:`to_interaction_picture`) takes the result into the interaction
-    picture. ``times`` are checked by :func:`require_sample_times` before
-    anything is built."""
+    integrates one such period with steps of at most ``dt``, checked or
+    chosen by :func:`lab_step` at the spectral radius of H(0), and one
+    composed diagonal phase (:func:`to_interaction_picture`) takes the
+    result into the interaction picture. ``times`` are checked by
+    :func:`require_sample_times` before anything is built."""
     times = require_sample_times(times)
     source = rotating_frame_source(params, initial.shape)
-    period = lab_period(params)
-    t_end = float(times[-1])
-    if dt is None:
-        dt = default_lab_dt(
-            float(np.max(np.abs(np.linalg.eigvalsh(source(0.0))))), period,
-            times)
+    dt, period = lab_step(params, initial.shape, times, dt, source)
     return to_interaction_picture(
-        evolve_timedep(source, initial, t_end=t_end, dt=dt,
+        evolve_timedep(source, initial, t_end=float(times[-1]), dt=dt,
                        store_times=times, period=period),
         params)
 

@@ -21,7 +21,7 @@ Operator functions (exp, sin) of the quadrature eta (a† + a) are evaluated by
 eigendecomposition of the truncated quadrature. That is not exact: f(P x P)
 differs from P f(x) P in the top two Fock levels, where at 6 levels the entry
 error of exp(i eta x) reaches 7.5e-3 at eta = 0.05 and 0.23 at eta = 0.3
-(2.6e-9 and 1.1e-4 below them); ROADMAP item 1 has the exact elements.
+(2.6e-9 and 1.1e-4 below them); ROADMAP item 4 has the exact elements.
 
 Standing-wave offset: when the trap centre sits a phase phi away from the node,
 the lab-frame coupling keeps phi inside the sine, while every approximate model

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ghz_sim import checks, cli, evolution
 from ghz_sim.checks import CHECK_NAMES
 from ghz_sim.cli import MODEL_ALIASES, fmt, main, read_table, write_table
+from ghz_sim.errors import ConfigurationError
 from ghz_sim.evolution import block_propagator
 from ghz_sim import ghz_protocol
 from ghz_sim.fock_core import ION_LABELS, HilbertShape
@@ -346,6 +347,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"ghz-sim: {message}\n" == capsys.readouterr().err
         assert not out_file.exists()
+
+    def test_shape_refusal_is_the_library_refusal(self, tmp_path, capsys):
+        cfg = tmp_path / "block.json"
+        cfg.write_text(json.dumps({"m": 2, "n": 2}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--model", "ld", "--shape", "2x2", "--config",
+                     str(cfg), "--output", str(out_file))
+        assert rc == 2
+        with pytest.raises(ConfigurationError) as info:
+            ghz_schedule(scaled_params(), m=2, n=2, shape=HilbertShape(2, 2),
+                         tune=True)
+        assert capsys.readouterr().err == f"ghz-sim: {info.value}\n"
+        assert str(info.value) == (
+            "shape 2x2 cannot hold the (m, n) = (2, 2) block; the smallest "
+            "shape that holds it is 3x3")
 
     def test_the_smallest_shape_that_holds_the_block_runs(self, tmp_path):
         cfg = tmp_path / "block.json"
@@ -936,6 +952,18 @@ class TestSweepCommand:
         assert "null g is tuned" in err and "tune=True" not in err
         assert not out_file.exists()
 
+    def test_held_g_at_a_vanishing_cos_phi_exits_two(self, tmp_path,
+                                                      capsys):
+        # no g meets the condition there, so tuning is no remedy
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"g": 1.0, "phi": 1.5707963267948966}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--config", str(cfg), "--output", str(out_file))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "vanishes at phi" in err and "null g is tuned" not in err
+        assert not out_file.exists()
+
     def test_held_g_that_meets_the_condition_is_written(self, tmp_path):
         # 5e-10 above the tuned 46.2176012647 MHz: inside the 1e-9 tuning
         # tolerance, and apart from it in the 12 written digits
@@ -1172,8 +1200,12 @@ def test_ghz_processes_load_neither_checks_nor_hashlib(tmp_path):
     # checks is imported by validate alone; nothing imports hashlib (its
     # OpenSSL load costs a few MB of RSS); the writer's lookup tables are
     # built by the first table written, so importing the CLI and --help
-    # build none
+    # build none; and the CLI's import and --help load no third-party
+    # package beyond numpy, so a --help process starts as fast as numpy
+    # allows
     src = Path(cli.__file__).resolve().parents[1]
+    top_level = ("print(*sorted({name.partition('.')[0] "
+                 "for name in sys.modules}))\n")
     code = (
         "import contextlib, io, sys\n"
         "import ghz_sim.cli as cli\n"
@@ -1182,24 +1214,37 @@ def test_ghz_processes_load_neither_checks_nor_hashlib(tmp_path):
         "    tables = cli._format_tables.cache_info().currsize\n"
         "    print(sorted(set(unwanted) & set(sys.modules)), tables)\n"
         "state()\n"
+        + top_level +
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        cli.main(['--help'])\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0\n"
         "state()\n"
+        + top_level +
         "assert cli.main(['ghz', '--model', 'ld', '--shape', '6x6',\n"
         "                 '--output', sys.argv[1]]) == 0\n"
         "state()\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code,
-                           str(tmp_path / "ld.csv")], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+
+    def run(program, *argv):
+        proc = subprocess.run([sys.executable, "-c", program, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    # what the interpreter loads on its own (site hooks included)
+    bare = set(run("import sys\n" + top_level)[0].split())
     # after the import, after --help, and after the run (its summary line
     # between)
-    after_import, after_help, summary, after_run = proc.stdout.splitlines()
+    (after_import, import_top, after_help, help_top, summary,
+     after_run) = run(code, str(tmp_path / "ld.csv"))
     assert summary.startswith("ghz model=ld_full")
     assert after_import == after_help == "[] 0"
     assert after_run == "[] 1"
+    for loaded in (import_top, help_top):
+        added = set(loaded.split()) - bare
+        assert "ghz_sim" in added and "numpy" in added
+        assert added - sys.stdlib_module_names <= {"numpy", "ghz_sim"}

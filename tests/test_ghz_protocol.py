@@ -116,6 +116,14 @@ class TestGhzSchedule:
             ghz_schedule(scaled_params(g=0.0, phi=math.pi / 2),
                          shape=HilbertShape(2, 2), tune=True)
 
+    def test_held_g_at_a_vanishing_cos_phi_is_refused_as_vanishing(self):
+        # one check for a tuned and a held g: no g meets the condition there
+        with pytest.raises(ConfigurationError,
+                           match="vanishes at phi") as info:
+            ghz_schedule(scaled_params(g=1e6, phi=math.pi / 2),
+                         shape=HilbertShape(2, 2))
+        assert not isinstance(info.value, UntunedError)
+
     def test_schedule_holds_the_whole_run(self):
         params = scaled_params(g=1e6, phi=0.4)
         schedule = ghz_schedule(params, m=2, n=3, tune=True)
@@ -303,6 +311,22 @@ class TestRunProtocol:
                                  r".*spectral radius .* give a config dt"):
             evolve_lab(params, basis_state(shape, "g", 0, 0),
                        pulse_times(schedule.t_p, 101))
+
+    def test_a_dt_above_the_resolution_guard_is_refused_unstepped(
+            self, monkeypatch):
+        # T / 50 = 1.8e-12 s at omega_L = 3.58e10 rad/s
+        params = scaled_params()
+        shape = HilbertShape(3, 3)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the integrator was called")
+
+        monkeypatch.setattr(ghz_protocol, "evolve_timedep", engine)
+        with pytest.raises(ConfigurationError,
+                           match=r"^dt = 1\.000e-11 violates the resolution "
+                                 r"guard dt <= T / 50 = 1\.755e-12 "):
+            evolve_lab(params, basis_state(shape, "g", 0, 0), [0.0, 1e-9],
+                       dt=1e-11)
 
     @pytest.mark.parametrize("omega_L", [4000.0, 0.0])
     def test_lab_run_passes_the_laser_period(self, monkeypatch, omega_L):
