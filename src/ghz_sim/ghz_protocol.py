@@ -319,8 +319,8 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     if model != BLOCK_ANALYTIC and worst > TRUNCATION_LIMIT:
         raise TruncationError(
             f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
-            f"rerun with shape at least "
-            f"{shape.vib_dim + 2}x{shape.cav_dim + 2}", series=series)
+            f"rerun with a shape larger than "
+            f"{shape.vib_dim}x{shape.cav_dim}", series=series)
     return series
 
 

@@ -811,7 +811,7 @@ class TestSweepCommand:
         assert run_cli("sweep", "vib_dim", "4,3", "--model", "ld",
                        "--shape", "6x6", "--output", str(out_file)) == 1
         assert ran == [3, 4]
-        assert "rerun with shape at least 6x8" in capsys.readouterr().err
+        assert "rerun with a shape larger than 4x6" in capsys.readouterr().err
         assert not out_file.exists()
 
     def test_empty_range_exits_two(self, tmp_path, capsys):

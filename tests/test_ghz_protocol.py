@@ -253,7 +253,7 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         times = pulse_times(schedule.t_p, 101)
-        with pytest.raises(TruncationError, match="5x5") as refused:
+        with pytest.raises(TruncationError, match="3x3") as refused:
             protocol_timeseries(schedule, ("g", 0, 0), "ld_full", times)
         # refused after scoring: the error carries the refused run's scores
         series = refused.value.series
@@ -262,7 +262,7 @@ class TestRunProtocol:
         assert series.truncation_leak.tolist() == leak.tolist()
         assert str(refused.value) == (
             f"top-level population {leak.max():.3e} exceeds 1.0e-04; rerun "
-            f"with shape at least 5x5")
+            f"with a shape larger than 3x3")
         assert series.times.tolist() == times.tolist()
 
     def test_block_model_rejects_states_outside_block(self):

@@ -1,16 +1,24 @@
 """The README's examples run as written: its "Library use" Python blocks
-execute in order in one namespace, and every ``ghz-sim`` line of its shell
-blocks runs through ``cli.main``, so neither can drift from the program."""
+execute in order in one namespace, every ``ghz-sim`` line of its shell
+blocks runs through ``cli.main``, and every result table is the one
+``scripts/tables.py`` generates, so none can drift from the program."""
 
+import importlib.util
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ghz_sim.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+spec = importlib.util.spec_from_file_location("tables",
+                                              ROOT / "scripts" / "tables.py")
+tables = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tables)
 
 
 def library_use_blocks() -> list[str]:
@@ -54,3 +62,18 @@ def test_shell_example_runs(argv, tmp_path, monkeypatch):
     # factor-2 checks being acceptance criteria 03 and 04
     monkeypatch.chdir(tmp_path)
     assert main(argv) == (1 if argv == ["validate"] else 0)
+
+
+def test_every_table_has_one_marker_pair():
+    # a table whose markers went missing would drop out of the check below
+    marks = Counter(re.findall(r"<!-- (/?)table:(\w+) -->",
+                               README.read_text(encoding="utf-8")))
+    names = {name for _, name in marks} | set(tables.TABLES)
+    assert sorted(name for name in names if name not in tables.TABLES
+                  or marks["", name] != 1 or marks["/", name] != 1) == []
+
+
+@pytest.mark.parametrize("name", tables.TABLES)
+def test_readme_table_is_regenerated(name):
+    text = README.read_text(encoding="utf-8")
+    assert tables.rewrite(text, name, tables.TABLES[name]()) == text
