@@ -45,7 +45,7 @@ from .evolution import require_sample_times
 from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
                            ProtocolSchedule, ghz_schedule, lab_step,
                            parse_label, protocol_timeseries, pulse_times)
-from .hamiltonian import SystemParams
+from .hamiltonian import SystemParams, rotating_frame_source
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
 US = 1e-6   # seconds per microsecond
@@ -335,9 +335,8 @@ def population_columns(shape: HilbertShape, populations: np.ndarray
     """pop_* names and values of the basis states of ``shape`` whose floored
     population is nonzero in any row of ``populations``, in index order."""
     index = np.flatnonzero(populations.any(axis=0))
-    ion, m, n = np.unravel_index(index, (shape.ion_dim, shape.vib_dim,
-                                         shape.cav_dim))
-    names = [f"pop_{ION_LABELS[s]}_{a}_{b}" for s, a, b in zip(ion, m, n)]
+    names = [f"pop_{ION_LABELS[s]}_{m}_{n}"
+             for s, m, n in shape.levels[:, index].T]
     return names, populations[:, index]
 
 
@@ -421,12 +420,11 @@ def require_stepped(model: str, what: str, consequence: str):
 
 
 def resolve_run(config: dict) -> Run:
-    """Parse a loaded config into one run, allocating nothing large and
-    evolving nothing: a null g tunes the coupling, a number is held as
-    given, and a dt is refused on a static model. :func:`ghz_schedule`,
-    :func:`pulse_times` and, for a lab run, :func:`lab_step` (its default
-    step counted at H(0)'s diagonal, a lower bound of H's spectral radius)
-    refuse a run that cannot be done."""
+    """Parse a loaded config into one run, evolving nothing: a null g tunes
+    the coupling, a number is held as given, and a dt is refused on a
+    static model. :func:`ghz_schedule`, :func:`pulse_times` and, for a lab
+    run, :func:`lab_step` on the run's own H(t) refuse a run that cannot be
+    done."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -456,8 +454,9 @@ def resolve_run(config: dict) -> Run:
             f"n_times = {n_times} distinct samples; the config keys t and "
             f"n_times must give a strictly increasing time grid") from None
     if model == LAB_FRAME:
-        # the refusal only: evolve_lab picks a run's default step itself
-        lab_step(schedule.params, shape, times, dt)
+        # the refusal only: evolve_lab takes the same step on the same H(t)
+        lab_step(schedule.params,
+                 rotating_frame_source(schedule.params, shape), times, dt)
     return Run(schedule, initial, model, times, dt)
 
 

@@ -63,17 +63,6 @@ BLOCK_PERMUTATION = np.array(
      [1, 0, 0, 0]], dtype=complex)
 
 
-@functools.lru_cache(maxsize=None)
-def _top_level_mask(shape: HilbertShape) -> np.ndarray:
-    """Read-only flat mask of the basis states in the top vib or top cav level."""
-    top = np.zeros((shape.ion_dim, shape.vib_dim, shape.cav_dim), dtype=bool)
-    top[:, -1, :] = True
-    top[:, :, -1] = True
-    mask = top.ravel()
-    mask.flags.writeable = False
-    return mask
-
-
 def require_sample_times(times: Sequence[float] | np.ndarray,
                          name: str = "times") -> np.ndarray:
     """``times`` as a float array if it meets the sample-time contract (see
@@ -128,7 +117,9 @@ class EvolutionResult:
         # compress keeps each row contiguous, so every row is summed in the
         # same order as a one-dimensional sum of that state's populations;
         # squared in place, the same x * x as ** 2 without another copy
-        top = np.abs(self.amplitudes.compress(_top_level_mask(self.shape), 1))
+        _, m, n = self.shape.levels
+        in_top = (m == self.shape.vib_dim - 1) | (n == self.shape.cav_dim - 1)
+        top = np.abs(self.amplitudes.compress(in_top, 1))
         leak = np.sum(np.square(top, out=top), axis=1)
         leak.flags.writeable = False
         return leak

@@ -10,6 +10,8 @@ with the flat index ordering fixed once and for all as s slowest, then m, then n
 
 This matches ``np.kron(ion_op, np.kron(vib_op, cav_op))``, so operators built by
 Kronecker products and states built by :func:`basis_state` agree by construction.
+:attr:`HilbertShape.levels`, the (s, m, n) of every flat index built once per
+shape, is the one derived map of that formula; per-state arrays read it.
 
 Operators are plain dense complex ``np.ndarray`` matrices; at the truncations used
 here (at most a few hundred dimensions) sparsity buys nothing and dense arrays keep
@@ -20,6 +22,7 @@ truncation diagnostic (see :mod:`ghz_sim.evolution`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
@@ -66,6 +69,16 @@ class HilbertShape:
         if not (0 <= n < self.cav_dim):
             raise IndexError(f"cavity level n={n} outside [0, {self.cav_dim})")
         return ION_LABELS.index(s) * self.vib_dim * self.cav_dim + m * self.cav_dim + n
+
+    @property
+    @functools.cache  # keyed on the shape's value: equal shapes share it
+    def levels(self) -> np.ndarray:
+        """Read-only (3, total_dim) int array whose column i is the
+        (s, m, n) of flat index i, s = 0 for g and 1 for e: ``s, m, n =
+        shape.levels`` gives every state's levels in flat-index order."""
+        grid = np.indices((self.ion_dim, self.vib_dim, self.cav_dim))
+        grid.flags.writeable = False  # so no view of it can be made writeable
+        return grid.reshape(3, -1)
 
     def labels(self) -> Iterator[tuple[str, int, int]]:
         """All basis labels (s, m, n) in flat-index order."""

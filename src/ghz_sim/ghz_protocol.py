@@ -34,7 +34,7 @@ from .evolution import (MAX_RK4_STEPS, STEPS_PER_PERIOD, EvolutionResult,
 from .fock_core import HilbertShape, QuantumState, basis_state
 from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
-                          rotating_frame_energies, rotating_frame_source)
+                          rotating_frame_source)
 
 MODEL_TAGS = ("block_analytic", "ld_full", "rwa_full", "lab_frame")
 BLOCK_ANALYTIC, LD_FULL, RWA_FULL, LAB_FRAME = MODEL_TAGS
@@ -177,26 +177,23 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                             t_p=p * math.pi / block.mu)
 
 
-def lab_step(params: SystemParams, shape: HilbertShape, times: np.ndarray,
-             dt: float | None = None, source: Callable[[float], np.ndarray]
-             | None = None) -> tuple[float, float | None]:
-    """The step and period of a lab-frame run to each of ``times``, or a
-    ConfigurationError that names why it cannot be run. The period of H(t)
-    is pi / omega_L (None at omega_L = 0: H is static). A given dt must meet
-    its resolution guard (:func:`require_resolved_step`), and the run must
-    stay inside the work bound (:func:`require_bounded_work`).
+def lab_step(params: SystemParams, source: Callable[[float], np.ndarray],
+             times: np.ndarray, dt: float | None = None
+             ) -> tuple[float, float | None]:
+    """The step and period of a lab-frame run of H(t) = ``source(t)`` to
+    each of ``times``, or a ConfigurationError that names why it cannot be
+    run. The period of H(t) is pi / omega_L (None at omega_L = 0: H is
+    static). A given dt must meet its resolution guard
+    (:func:`require_resolved_step`), and the run must stay inside the work
+    bound (:func:`require_bounded_work`).
 
     Without a dt the step is the largest that keeps the accumulated RK4 norm
     drift (about t lam^6 dt^5 / 144) an order of magnitude below the 1e-6
-    drift limit, and at most T / STEPS_PER_PERIOD / 1.28. The unitarity
-    bound of a period run, which takes the worst-damped direction and so
-    reads about twice that drift, stays below the limit too. lam bounds the
-    spectral radius of H: that of ``source(0)`` when a source is given, else
-    H(0)'s diagonal, which builds no matrix. The step falls as lam rises, and
-    the step count rises as the step falls, so a lam below the spectral
-    radius gives a step at least the run's, and its refusal holds for the
-    run too. A default step beyond MAX_RK4_STEPS is refused, named as the
-    default step and by what sets it."""
+    drift limit, and at most T / STEPS_PER_PERIOD / 1.28, with lam the
+    spectral radius of H(0). The unitarity bound of a period run, which
+    takes the worst-damped direction and so reads about twice that drift,
+    stays below the limit too. A default step beyond MAX_RK4_STEPS is
+    refused, named as the default step and by what sets it."""
     period = math.pi / params.omega_L if params.omega_L > 0 else None
     if dt is not None and period is not None:
         require_resolved_step(dt, period)
@@ -207,9 +204,7 @@ def lab_step(params: SystemParams, shape: HilbertShape, times: np.ndarray,
     dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
     if t_end <= 0:
         return dt, period
-    lam = float(np.max(np.abs(
-        np.linalg.eigvalsh(source(0.0)) if source is not None
-        else rotating_frame_energies(params, shape))))
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
     if lam > 0:
         dt = min(dt, (144.0 * 1e-7 / (t_end * lam ** 6)) ** 0.2)
     steps = rk4_step_count(dt, period, times)
@@ -242,7 +237,7 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     :func:`require_sample_times` before anything is built."""
     times = require_sample_times(times)
     source = rotating_frame_source(params, initial.shape)
-    dt, period = lab_step(params, initial.shape, times, dt, source)
+    dt, period = lab_step(params, source, times, dt)
     return to_interaction_picture(
         evolve_timedep(source, initial, t_end=float(times[-1]), dt=dt,
                        store_times=times, period=period),

@@ -176,11 +176,9 @@ def rotating_frame_energies(params: SystemParams,
     + (omega_c - omega_L) n + (omega_0 - omega_L) s / 2, s = -1 for g. The
     differences are taken before any product with n or t, so no digits are
     lost at optical frequencies."""
-    m = np.arange(shape.vib_dim)[None, :, None]
-    n = np.arange(shape.cav_dim)[None, None, :]
-    sign = np.array([-1.0, 1.0])[:, None, None]  # ION_LABELS order (g, e)
+    ion, m, n = shape.levels  # ion 0 for g, so s = 2 ion - 1
     return (params.nu * (m + 0.5) + (params.omega_c - params.omega_L) * n
-            + 0.5 * (params.omega_0 - params.omega_L) * sign).ravel()
+            + 0.5 * (params.omega_0 - params.omega_L) * (2.0 * ion - 1.0))
 
 
 def rotating_frame_source(params: SystemParams,

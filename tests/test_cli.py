@@ -73,6 +73,25 @@ class TestValidate:
         assert rc == 1
         assert any(ln.startswith("FAIL o_k_series") for ln in out.splitlines())
 
+    def test_an_off_pattern_rwa_entry_is_caught(self, capsys, monkeypatch):
+        # |g,0,0> <-> |g,0,1> keeps the ion state: neither a carrier nor a
+        # sideband entry
+        build_rwa_hamiltonian = checks.build_rwa_hamiltonian
+
+        def perturbed(params, shape):
+            h = build_rwa_hamiltonian(params, shape)
+            i, j = shape.index("g", 0, 0), shape.index("g", 0, 1)
+            h[i, j] += 1e-3
+            h[j, i] += 1e-3
+            return h
+
+        monkeypatch.setattr(checks, "build_rwa_hamiltonian", perturbed)
+        rc = run_cli("validate")
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert any(ln.startswith("FAIL block_structure measured=1.0")
+                   for ln in out.splitlines())
+
 
 class TestGhzCommand:
     def test_paper_defaults_summary(self, tmp_path, capsys):
@@ -909,16 +928,16 @@ class TestSweepCommand:
          "at phi = 2.0 (cos(phi) = -4.161e-01), so no g >= 0 meets the GHZ "
          "condition"),
         (("vib_dim", "6,100000000", "--model", "ld"), {}, "physical memory"),
-        # H(0)'s diagonal bounds the spectral radius of H (9.934e8 rad/s)
-        # from below, so p = 100 is refused before p = 1 runs
+        # the default step is counted at the spectral radius of the run's
+        # own H(0) (9.934e8 rad/s), so p = 100 is refused before p = 1 runs
         (("p", "1,100", "--model", "lab"),
          {"omega_L": 0, "omega_0": 0, "omega_c": 0},
          "sweep point p = 100: the default lab step dt is at most "
-         "1.351e-11 s and takes about 2.6e+06 RK4 steps or more over 101 "
+         "1.337e-11 s and takes about 2.63e+06 RK4 steps or more over 101 "
          "sample times, more than MAX_RK4_STEPS = 1,000,000; that step is "
          "the largest that keeps the RK4 norm drift below its target over "
          "t = 3.510e-05 s at the spectral radius of H, which is at least "
-         "9.845e+08 rad/s"),
+         "9.934e+08 rad/s"),
         (("eta_c", "0.05,0.1", "--model", "ld"), {"g": 46.21760126474184},
          "config key g")])
     def test_every_point_is_resolved_before_the_first_runs(
@@ -935,6 +954,32 @@ class TestSweepCommand:
                      "--output", str(out_file))
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_a_lab_point_is_refused_by_the_step_its_run_takes(
+            self, tmp_path, capsys, monkeypatch):
+        # H(0)'s diagonal alone passes p = 5000; its spectral radius
+        # (1.045e7 rad/s) gives the default step of 1.21e6 RK4 steps that
+        # the run would take, so the sweep stops before p = 1 is evolved
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        evolve = ghz_protocol.evolve_timedep
+        monkeypatch.setattr(ghz_protocol, "evolve_timedep", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega_L": 0, "omega_0": 0, "omega_c": 0,
+                                   "nu": 1}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("sweep", "p", "1,5000", "--model", "lab", "--shape",
+                     "2x2", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "ghz-sim: sweep point p = 5000: the default lab step dt is at "
+            "most 1.445e-09 s and takes about 1.21e+06 RK4 steps or more")
+        assert calls == []
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command", [("ghz",), ("sweep", "phi", "0,0.3")])

@@ -662,6 +662,22 @@ class TestEvolutionResult:
         expected = [np.sum((np.abs(row) ** 2)[top]) for row in amps]
         assert np.array_equal(result.truncation_leak, expected)
 
+    @pytest.mark.parametrize("vib, cav", [(1, 1), (2, 3), (3, 2), (6, 6),
+                                          (16, 16)])
+    def test_truncation_leak_matches_a_boolean_grid_mask_exactly(self, vib,
+                                                                 cav):
+        # the mask as an (ion, vib, cav) grid with its top vib and top cav
+        # planes set, raveled to flat index order
+        shape = HilbertShape(vib, cav)
+        grid = np.zeros((shape.ion_dim, vib, cav), dtype=bool)
+        grid[:, -1, :] = True
+        grid[:, :, -1] = True
+        amps = random_rows(shape, 7, seed=vib * 100 + cav)
+        result = EvolutionResult(np.arange(7.0), amps, shape)
+        top = np.abs(amps.compress(grid.ravel(), 1))
+        assert np.array_equal(result.truncation_leak,
+                              np.sum(top * top, axis=1))
+
     def test_norms_match_linalg_norm_exactly(self):
         shape = HilbertShape(6, 6)
         amps = random_rows(shape, 30, seed=9)
@@ -917,13 +933,26 @@ class TestInteractionPicture:
         assert np.allclose(np.abs(out.amplitudes[0]) ** 2,
                            np.abs(state.amplitudes) ** 2, atol=1e-12)
 
-    def test_matches_per_state_label_loop_exactly(self):
+    @pytest.mark.parametrize("vib, cav", [(1, 1), (3, 4), (16, 16)])
+    def test_matches_per_state_label_loop_exactly(self, vib, cav):
         # the one composed phase of laser frame and interaction picture is
-        # the detuning form, differences taken before any product
-        shape = HilbertShape(3, 4)
+        # the detuning form, differences taken before any product; on the
+        # benchmark's lab hierarchy (rad/s) and with the laser and cavity
+        # both off resonance at optical frequencies too
+        shape = HilbertShape(vib, cav)
         times = np.array([0.0, 0.3, 1.7, 4.2])
         amps = random_rows(shape, len(times), seed=8)
-        for params in (scaled_params(Omega=1.0), free_params()):
+        resonant = scaled_params()
+        lab = SystemParams(Omega=8.95 * 1e6, g=resonant.g, eta_L=0.05,
+                           eta_c=0.05, nu=44.75 * 1e6, omega_0=223.75 * 1e6,
+                           omega_c=179.0 * 1e6, omega_L=223.75 * 1e6)
+        detuned = SystemParams(
+            Omega=resonant.Omega, g=resonant.g, eta_L=0.05, eta_c=0.05,
+            nu=resonant.nu, omega_0=resonant.omega_0,
+            omega_c=resonant.omega_c + 0.1 * resonant.nu,
+            omega_L=resonant.omega_L - 0.3 * resonant.nu)
+        for params in (scaled_params(Omega=1.0), free_params(), lab,
+                       detuned):
             out = to_interaction_picture(
                 EvolutionResult(times, amps, shape), params)
             energies = np.empty(shape.total_dim)

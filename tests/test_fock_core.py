@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_sim.fock_core import (CAV, HilbertShape, ION, QuantumState, SLOTS,
-                               VIB, basis_state, kron3, ladder_ops,
-                               partial_trace, pauli_ops)
+from ghz_sim.fock_core import (CAV, HilbertShape, ION, ION_LABELS,
+                               QuantumState, SLOTS, VIB, basis_state, kron3,
+                               ladder_ops, partial_trace, pauli_ops)
 
 
 def random_state(shape, seed):
@@ -43,6 +43,30 @@ class TestHilbertShape:
             sh.index("e", 0, 2)
         with pytest.raises(IndexError):
             sh.index("x", 0, 0)
+
+
+class TestLevels:
+    SHAPES = [(1, 1), (2, 3), (3, 2), (6, 6), (16, 16)]
+
+    @pytest.mark.parametrize("vib, cav", SHAPES)
+    def test_each_column_is_its_index_and_label(self, vib, cav):
+        sh = HilbertShape(vib, cav)
+        assert sh.levels.shape == (3, sh.total_dim)
+        for i, (s, m, n) in enumerate(sh.labels()):
+            assert sh.levels[:, i].tolist() == [ION_LABELS.index(s), m, n]
+            assert sh.index(s, m, n) == i
+
+    @pytest.mark.parametrize("vib, cav", SHAPES)
+    def test_read_only_and_shared_by_equal_shapes(self, vib, cav):
+        levels = HilbertShape(vib, cav).levels
+        assert levels is HilbertShape(vib, cav).levels
+        with pytest.raises(ValueError):
+            levels[1, 0] = 5
+        with pytest.raises(ValueError):
+            levels.flags.writeable = True
+        s, m, n = levels
+        with pytest.raises(ValueError):
+            m[0] = 5
 
 
 class TestLadderOps:
