@@ -376,7 +376,8 @@ def cmd_validate(args) -> int:
 
 
 def _run_config(args) -> dict:
-    """The loaded config of a ghz or sweep command, flags applied."""
+    """The loaded config of a ghz or sweep command, flags applied, its
+    output a file path in an existing directory."""
     config = load_config(args.config, {
         "model": args.model, "shape": args.shape, "p": args.p,
         "format": args.format, "output": args.output,
@@ -387,6 +388,11 @@ def _run_config(args) -> dict:
     if not (isinstance(config["output"], str) and config["output"]):
         raise ConfigurationError(
             f"output must be a file path, got {config['output']!r}")
+    # refused before any point runs, not when the table is written
+    directory = os.path.dirname(config["output"]) or "."
+    if os.path.isdir(config["output"]) or not os.path.isdir(directory):
+        raise ConfigurationError(f"output {config['output']!r} is not a "
+                                 f"file path in an existing directory")
     return config
 
 
@@ -401,8 +407,9 @@ def whole_number(name: str, value) -> int:
 
 
 class Run(NamedTuple):
-    """One checked pulse, its fields the arguments of protocol_timeseries
-    in order: ``protocol_timeseries(*run)`` evolves and scores it."""
+    """One checked pulse, which ``protocol_timeseries(*run)`` evolves and
+    scores; ``dt`` is the step the run takes: the config dt or else the
+    default step of :func:`lab_step`, None for a static model."""
 
     schedule: ProtocolSchedule
     initial: Label
@@ -423,8 +430,8 @@ def resolve_run(config: dict) -> Run:
     """Parse a loaded config into one run, evolving nothing: a null g tunes
     the coupling, a number is held as given, and a dt is refused on a
     static model. :func:`ghz_schedule`, :func:`pulse_times` and, for a lab
-    run, :func:`lab_step` on the run's own H(t) refuse a run that cannot be
-    done."""
+    run, :func:`lab_step` on its H(t), which also picks its step, refuse a
+    run that cannot be done."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
@@ -454,9 +461,8 @@ def resolve_run(config: dict) -> Run:
             f"n_times = {n_times} distinct samples; the config keys t and "
             f"n_times must give a strictly increasing time grid") from None
     if model == LAB_FRAME:
-        # the refusal only: evolve_lab takes the same step on the same H(t)
-        lab_step(schedule.params,
-                 rotating_frame_source(schedule.params, shape), times, dt)
+        source = rotating_frame_source(schedule.params, shape)
+        dt, _ = lab_step(schedule.params, source, times, dt)
     return Run(schedule, initial, model, times, dt)
 
 

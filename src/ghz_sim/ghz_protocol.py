@@ -183,9 +183,9 @@ def lab_step(params: SystemParams, source: Callable[[float], np.ndarray],
     """The step and period of a lab-frame run of H(t) = ``source(t)`` to
     each of ``times``, or a ConfigurationError that names why it cannot be
     run. The period of H(t) is pi / omega_L (None at omega_L = 0: H is
-    static). A given dt must meet its resolution guard
-    (:func:`require_resolved_step`), and the run must stay inside the work
-    bound (:func:`require_bounded_work`).
+    static). A given dt is checked, with no eigensolver, against its
+    resolution guard (:func:`require_resolved_step`) and the work bound
+    (:func:`require_bounded_work`), and returned as given.
 
     Without a dt the step is the largest that keeps the accumulated RK4 norm
     drift (about t lam^6 dt^5 / 144) an order of magnitude below the 1e-6
@@ -201,7 +201,10 @@ def lab_step(params: SystemParams, source: Callable[[float], np.ndarray],
     if dt is not None:
         return dt, period
     t_end = float(times[-1])
-    dt = period / STEPS_PER_PERIOD / 1.28 if period is not None else t_end
+    # without a period one step spans the run; a grid of t = 0 alone takes
+    # no step, so any finite step serves it
+    dt = (period / STEPS_PER_PERIOD / 1.28 if period is not None
+          else t_end or 1.0)
     if t_end <= 0:
         return dt, period
     lam = float(np.max(np.abs(np.linalg.eigvalsh(source(0.0)))))
@@ -230,11 +233,11 @@ def evolve_lab(params: SystemParams, initial: QuantumState,
     (:func:`rotating_frame_source`), where only C exp(-2i omega_L t) and its
     conjugate stay time dependent, so H_rot has period T = pi / omega_L
     (none at omega_L = 0: H_rot is then static). :func:`evolve_timedep`
-    integrates one such period with steps of at most ``dt``, checked or
-    chosen by :func:`lab_step` at the spectral radius of H(0), and one
-    composed diagonal phase (:func:`to_interaction_picture`) takes the
-    result into the interaction picture. ``times`` are checked by
-    :func:`require_sample_times` before anything is built."""
+    integrates one such period with steps of at most ``dt``, checked by
+    :func:`lab_step` or, when None, chosen there at the spectral radius of
+    H(0) (a CLI run passes the step it resolved), and one composed diagonal
+    phase (:func:`to_interaction_picture`) takes it into the interaction
+    picture. :func:`require_sample_times` checks ``times`` first."""
     times = require_sample_times(times)
     source = rotating_frame_source(params, initial.shape)
     dt, period = lab_step(params, source, times, dt)

@@ -662,6 +662,34 @@ class TestExitCodes:
                 f"{MODEL_ALIASES[model]} has no time step") in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("ghz",), ("sweep", "eta_c", "0.02,0.05,0.1")], ids=["ghz", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_a_bad_output_path_is_refused_before_any_point_runs(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        # the table is written after every point has run, so a path that
+        # cannot be written is refused before the first point is resolved
+        calls = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("resolve_run", "protocol_timeseries"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        output = (tmp_path / "missing" / "x.csv"
+                  if where == "missing-directory" else tmp_path)
+        rc = run_cli(*command, "--model", "rwa", "--shape", "6x6",
+                     "--output", str(output))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"ghz-sim: output {str(output)!r} is not a file path in an "
+            f"existing directory\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_sweep_axis_exits_two(self, tmp_path, capsys):
         rc = run_cli("sweep", "coupling", "1,2",
                      "--output", str(tmp_path / "x.csv"))

@@ -17,7 +17,8 @@ from ghz_sim.ghz_protocol import (MODEL_TAGS, POPULATION_FLOOR,
                                   target_state, tune_coupling)
 from ghz_sim.evolution import (EvolutionResult, block_propagator,
                                evolve_timedep)
-from ghz_sim.hamiltonian import BlockParams, block_basis_labels
+from ghz_sim.hamiltonian import (BlockParams, SystemParams,
+                                 block_basis_labels)
 
 # frozen from the closed-form arithmetic: g = Omega / (eta_c sqrt(15)) for
 # Omega = 8.95e6 rad/s, eta_c = 0.05, and t_1 = pi sqrt(15) / (4 Omega)
@@ -327,6 +328,20 @@ class TestRunProtocol:
                                  r"guard dt <= T / 50 = 1\.755e-12 "):
             evolve_lab(params, basis_state(shape, "g", 0, 0), [0.0, 1e-9],
                        dt=1e-11)
+
+    @pytest.mark.parametrize("omega_0, omega_c, omega_L",
+                             [(0.0, 0.0, 0.0), (1000.0, 980.0, 1000.0)])
+    def test_a_grid_of_t_zero_alone_returns_the_initial_state(
+            self, omega_0, omega_c, omega_L):
+        # with no period, the default step of a run to t = 0 was t = 0
+        # itself, which the integrator refused as a step
+        params = SystemParams(Omega=1, g=0.1, eta_L=0.05, eta_c=0.05, nu=20,
+                              omega_0=omega_0, omega_c=omega_c,
+                              omega_L=omega_L)
+        initial = basis_state(HilbertShape(3, 3), "g", 0, 0)
+        result = evolve_lab(params, initial, [0.0])
+        assert result.times.tolist() == [0.0]
+        assert np.array_equal(result.amplitudes, [initial.amplitudes])
 
     @pytest.mark.parametrize("omega_L", [4000.0, 0.0])
     def test_lab_run_passes_the_laser_period(self, monkeypatch, omega_L):
