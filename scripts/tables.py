@@ -17,7 +17,7 @@ from ghz_sim import (HilbertShape, SystemParams, TruncationError,
 from ghz_sim.checks import run_checks
 from ghz_sim.evolution import evolve_static
 from ghz_sim.fock_core import basis_state
-from ghz_sim.ghz_protocol import (RWA_FULL, evolve_lab, pulse_times,
+from ghz_sim.ghz_protocol import (RWA, evolve_lab, pulse_times,
                                   tune_coupling)
 from ghz_sim.hamiltonian import build_rwa_hamiltonian
 
@@ -43,7 +43,7 @@ def leakage() -> list[tuple[str, ...]]:
             schedule = ghz_schedule(params, shape=HilbertShape(dim, dim),
                                     tune=True)
             try:
-                series = protocol_timeseries(schedule, ("g", 0, 0), RWA_FULL,
+                series = protocol_timeseries(schedule, ("g", 0, 0), RWA,
                                              pulse_times(schedule.t_p, 101))
             except TruncationError as exc:
                 series = exc.series

@@ -42,10 +42,10 @@ from .errors import (AccuracyError, ConfigurationError, TruncationError,
                      UntunedError)
 from .fock_core import HilbertShape, ION_LABELS
 from .evolution import require_sample_times
-from .ghz_protocol import (BLOCK_ANALYTIC, LAB_FRAME, MODEL_TAGS, Label,
-                           ProtocolSchedule, ghz_schedule, lab_step,
-                           parse_label, protocol_timeseries, pulse_times)
-from .hamiltonian import SystemParams, rotating_frame_source
+from .ghz_protocol import (MODELS, Label, ProtocolSchedule, ghz_schedule,
+                           parse_label, physical_memory, protocol_timeseries,
+                           pulse_times, require_model, run_step)
+from .hamiltonian import SystemParams
 
 MHZ = 1e6   # angular rad/s per "MHz" at the config boundary
 US = 1e-6   # seconds per microsecond
@@ -76,8 +76,6 @@ DEFAULT_CONFIG = {
     "format": "csv",
     "output": "ghz_series.csv",
 }
-
-MODEL_ALIASES = dict(zip(("block", "ld", "rwa", "lab"), MODEL_TAGS))
 
 FORMATS = ("csv", "json")
 
@@ -164,35 +162,6 @@ def config_time(config: dict, key: str) -> float | None:
         raise ConfigurationError(
             f"{key} must be a finite number > 0, got {raw!r}")
     return value * scale
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory: page size x physical pages."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def require_memory(shape: HilbertShape, model: str, n_times: int):
-    """Refuse, before anything is allocated, a run whose largest dense array
-    exceeds physical memory: the (n_times, D) complex trajectory of every
-    model, or the D x D complex Hamiltonian of ld, rwa and lab."""
-    physical = _physical_memory()
-    dim = shape.total_dim
-    need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
-    if model != BLOCK_ANALYTIC and 16 * dim * dim > need:
-        need, what = 16 * dim * dim, f"its {dim} x {dim} Hamiltonian"
-    if need > physical:
-        raise ConfigurationError(
-            f"shape {shape.vib_dim}x{shape.cav_dim} needs {need:,} bytes for "
-            f"{what}, more than the {physical:,} bytes of physical memory")
-
-
-def resolve_model(name: str) -> str:
-    if isinstance(name, str) and name in MODEL_ALIASES:
-        return MODEL_ALIASES[name]
-    if name in MODEL_TAGS:
-        return name
-    raise ConfigurationError(
-        f"unknown model {name!r}; choose from {sorted(MODEL_ALIASES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +378,7 @@ def whole_number(name: str, value) -> int:
 class Run(NamedTuple):
     """One checked pulse, which ``protocol_timeseries(*run)`` evolves and
     scores; ``dt`` is the step the run takes: the config dt or else the
-    default step of :func:`lab_step`, None for a static model."""
+    default step of :func:`lab_step`, None for a model without a step."""
 
     schedule: ProtocolSchedule
     initial: Label
@@ -418,27 +387,19 @@ class Run(NamedTuple):
     dt: float | None
 
 
-def require_stepped(model: str, what: str, consequence: str):
-    """Refuse ``what``, a dt, for a model without a time step."""
-    if model != LAB_FRAME:
-        raise ConfigurationError(
-            f"{what} steps only the {LAB_FRAME} model; model {model} has no "
-            f"time step, so {consequence}")
-
-
 def resolve_run(config: dict) -> Run:
     """Parse a loaded config into one run, evolving nothing: a null g tunes
-    the coupling, a number is held as given, and a dt is refused on a
-    static model. :func:`ghz_schedule`, :func:`pulse_times` and, for a lab
-    run, :func:`lab_step` on its H(t), which also picks its step, refuse a
-    run that cannot be done."""
+    the coupling and a number is held as given. :func:`require_model`,
+    :func:`ghz_schedule`, :func:`pulse_times` and :func:`run_step`, which
+    also picks a lab run's step, refuse a run that cannot be done."""
     params, tune = build_params(config)
     p, m, n, n_times = (whole_number(key, config[key])
                         for key in ("p", "m", "n", "n_times"))
     shape = parse_shape(config["shape"])
-    model = resolve_model(config["model"])
+    model = config["model"]
     initial = parse_label(config["initial"])
-    require_memory(shape, model, n_times)
+    dt = config_time(config, "dt")
+    require_model(model, shape, n_times, dt)
     try:
         schedule = ghz_schedule(params, m=m, n=n, p=p, shape=shape, tune=tune)
     except UntunedError as exc:
@@ -448,10 +409,6 @@ def resolve_run(config: dict) -> Run:
     explicit_t = config_time(config, "t")
     if explicit_t is not None:
         schedule = replace(schedule, t_p=explicit_t)
-    dt = config_time(config, "dt")
-    if dt is not None:
-        require_stepped(model, f"config key dt = {config['dt']!r}",
-                        "it would be ignored")
     times = pulse_times(schedule.t_p, n_times)
     try:
         require_sample_times(times)
@@ -460,10 +417,8 @@ def resolve_run(config: dict) -> Run:
             f"the pulse time t = {schedule.t_p!r} s is too short for "
             f"n_times = {n_times} distinct samples; the config keys t and "
             f"n_times must give a strictly increasing time grid") from None
-    if model == LAB_FRAME:
-        source = rotating_frame_source(schedule.params, shape)
-        dt, _ = lab_step(schedule.params, source, times, dt)
-    return Run(schedule, initial, model, times, dt)
+    return Run(schedule, initial, model, times,
+               run_step(schedule, model, times, dt))
 
 
 def cmd_ghz(args) -> int:
@@ -511,7 +466,7 @@ def parse_values(text: str) -> list[float]:
         # refused before the list is built, at 32 bytes a value (a float and
         # its pointer); counted as a float, an infinite count fails too
         count = float(np.floor((stop - start) / step + 1e-9)) + 1
-        physical = _physical_memory()
+        physical = physical_memory()
         if not 32 * count <= physical:
             raise ConfigurationError(
                 f"bad range {text!r}: its {count:,.0f} points need at least "
@@ -557,9 +512,6 @@ def cmd_sweep(args) -> int:
         exc.args = (f"sweep point {axis} = {value!r}: {exc}",)
         return exc
 
-    if axis == "dt":
-        require_stepped(resolve_model(config["model"]), "sweep axis dt",
-                        "every point would be the same run")
     runs = []
     for value in values:
         try:
@@ -628,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--output", help="output file path")
     common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--model", help="block | ld | rwa | lab")
+    common.add_argument("--model", help=" | ".join(MODELS))
     common.add_argument("--shape", help="truncation, e.g. 6x6 (vib x cav)")
     common.add_argument("--p", type=int, help="pulse index p >= 1")
 

@@ -6,9 +6,10 @@ mu t_p = p pi, and choosing couplings so that a t_p = pi/4 (equivalently
 mu / a = 4 p) turns each basis state of the block into a maximally entangled
 three-party state of ion, phonon pair and photon pair.
 
-Four model levels can execute the same schedule: the closed-form block
-propagator, the full Lamb-Dicke Hamiltonian, the dressed RWA Hamiltonian and
-the time-dependent lab-frame model. The lab-frame model has one entry point,
+Four models (:data:`MODELS`, whose rules :func:`require_model` holds) can
+execute the same schedule: ``block``, the closed-form block propagator,
+``ld``, the full Lamb-Dicke Hamiltonian, ``rwa``, the dressed RWA one and
+``lab``, the time-dependent lab-frame model. The last has one entry point,
 :func:`evolve_lab`: it is integrated in the exact laser frame over one
 period pi / omega_L of its counter-rotating term, which also caps the RK4
 step, and one composed diagonal phase takes it into the interaction picture
@@ -20,6 +21,7 @@ that escaped the 4-state block and the basis populations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -36,8 +38,8 @@ from .hamiltonian import (BlockParams, SystemParams, block_basis_labels,
                           build_ld_hamiltonian, build_rwa_hamiltonian,
                           rotating_frame_source)
 
-MODEL_TAGS = ("block_analytic", "ld_full", "rwa_full", "lab_frame")
-BLOCK_ANALYTIC, LD_FULL, RWA_FULL, LAB_FRAME = MODEL_TAGS
+MODELS = ("block", "ld", "rwa", "lab")
+BLOCK, LD, RWA, LAB = MODELS
 
 TUNING_RTOL = 1e-9
 POPULATION_FLOOR = 1e-6
@@ -135,11 +137,12 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
     """Build the GHZ pulse schedule for the (m, n) block.
 
     With ``tune`` the coupling is replaced so that the effective coupling
-    g cos(phi) satisfies the condition a t_p = pi / 4; otherwise the params
-    must already satisfy mu / a = 4 p (relative tolerance 1e-9); either
-    way a vanishing or negative cos(phi) is refused. The shape defaults to
-    the smallest one that holds the block, (m + 1) x (n + 1), and a smaller
-    one is refused.
+    g cos(phi) satisfies the condition a t_p = pi / 4 (a tuned g that misses
+    it, as when 16 p^2 overflows, is refused by p); otherwise the params
+    must already satisfy mu / a = 4 p (relative tolerance 1e-9), or an
+    UntunedError is raised; either way a vanishing or negative cos(phi) is
+    refused. The shape defaults to the smallest one that holds the block,
+    (m + 1) x (n + 1), and a smaller one is refused.
     """
     for key, level in (("m", m), ("n", n)):
         if level < 1:
@@ -166,6 +169,11 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
     block = BlockParams.from_params(params, m, n)
     ratio = block.mu / block.a if block.a != 0.0 else math.inf
     if abs(ratio - 4.0 * p) > TUNING_RTOL * 4.0 * p:
+        if tune:
+            raise ConfigurationError(
+                f"tuning g for p = {p:.3g} gives g = {params.g:.3e} rad/s, "
+                f"which misses the GHZ condition: mu/a = {ratio!r}, required "
+                f"{4 * p:.3g}")
         raise UntunedError(f"params are not tuned for a GHZ pulse with "
                            f"p={p}: mu/a = {ratio!r}, required {4 * p}")
     if shape.vib_dim <= m or shape.cav_dim <= n:
@@ -175,6 +183,37 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
             f"{m + 1}x{n + 1}")
     return ProtocolSchedule(params=params, shape=shape, block=block, p=p,
                             t_p=p * math.pi / block.mu)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: page size x physical pages."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_model(model: str, shape: HilbertShape, n_times: int,
+                  dt: float | None = None):
+    """Refuse, with nothing built or allocated, a run of ``model`` on
+    ``shape`` to ``n_times`` sample times, with step ``dt``, that cannot be
+    done: a name not in MODELS; a dt on any model but lab, the one with a
+    time step; or a largest dense array beyond physical memory, the
+    (n_times, D) complex trajectory of every model or the D x D complex
+    Hamiltonian of every model but block."""
+    if model not in MODELS:
+        raise ConfigurationError(
+            f"unknown model {model!r}; choose from {sorted(MODELS)}")
+    if dt is not None and model != LAB:
+        raise ConfigurationError(
+            f"dt = {dt:.3e} s steps only the {LAB} model; model {model} has "
+            f"no time step, so it would be ignored")
+    physical = physical_memory()
+    dim = shape.total_dim
+    need, what = 16 * n_times * dim, f"its n_times = {n_times} trajectory"
+    if model != BLOCK and 16 * dim * dim > need:
+        need, what = 16 * dim * dim, f"its {dim} x {dim} Hamiltonian"
+    if need > physical:
+        raise ConfigurationError(
+            f"shape {shape.vib_dim}x{shape.cav_dim} needs {need:,} bytes for "
+            f"{what}, more than the {physical:,} bytes of physical memory")
 
 
 def lab_step(params: SystemParams, source: Callable[[float], np.ndarray],
@@ -223,6 +262,20 @@ def lab_step(params: SystemParams, source: Callable[[float], np.ndarray],
     return dt, period
 
 
+def run_step(schedule: ProtocolSchedule, model: str, times: np.ndarray,
+             dt: float | None = None) -> float | None:
+    """The step a run of ``model`` to ``times`` takes, evolving nothing:
+    None for a model without a time step, and for lab the step
+    :func:`lab_step` returns, ``dt`` as checked or, when None, the default
+    step, the one case that builds the laser-frame source."""
+    if model != LAB:
+        return None
+    params, shape = schedule.params, schedule.shape
+    return lab_step(params,
+                    lambda t: rotating_frame_source(params, shape)(t),
+                    times, dt)[0]
+
+
 def evolve_lab(params: SystemParams, initial: QuantumState,
                times: Sequence[float], dt: float | None = None
                ) -> EvolutionResult:
@@ -254,7 +307,7 @@ def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
     params, shape = schedule.params, schedule.shape
     initial = basis_state(shape, *initial_label)
 
-    if model == BLOCK_ANALYTIC:
+    if model == BLOCK:
         # target_state has already rejected labels outside the block
         labels = block_basis_labels(schedule.block.m, schedule.block.n)
         col = labels.index(initial_label)
@@ -262,19 +315,11 @@ def _evolve_states(schedule: ProtocolSchedule, initial_label: Label,
         amps = np.zeros((len(times), shape.total_dim), dtype=complex)
         amps[:, idx] = block_propagator(schedule.block, times)[:, :, col]
         return EvolutionResult(times, amps, shape)
-
-    if model == LD_FULL:
-        result = evolve_static(build_ld_hamiltonian(params, shape),
-                               initial, times)
-    elif model == RWA_FULL:
-        result = evolve_static(build_rwa_hamiltonian(params, shape),
-                               initial, times)
-    elif model == LAB_FRAME:
-        result = evolve_lab(params, initial, times, dt)
-    else:
-        raise ValueError(
-            f"unknown model {model!r}, expected one of {MODEL_TAGS}")
-    return result
+    if model == LAB:
+        return evolve_lab(params, initial, times, dt)
+    # require_model has refused any name but ld and rwa
+    build = build_ld_hamiltonian if model == LD else build_rwa_hamiltonian
+    return evolve_static(build(params, shape), initial, times)
 
 
 def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
@@ -283,11 +328,13 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     """Run the protocol and score the state at every requested time: per
     time |<target|psi>|^2, the norm, the population outside the 4-state block
     (0 for the block model), the top-level population and the floored basis
-    populations. A full-space run whose top-level population exceeds
-    TRUNCATION_LIMIT is refused once scored, its TruncationError carrying
-    the series."""
+    populations. :func:`require_model` refuses a run that cannot be done
+    before anything is built. A full-space run whose top-level population
+    exceeds TRUNCATION_LIMIT is refused once scored, its TruncationError
+    carrying the series."""
     shape = schedule.shape
     times = np.asarray(times, dtype=float)
+    require_model(model, shape, len(times), dt)
     target = target_state(initial_label, shape, m=schedule.block.m,
                           n=schedule.block.n, p=schedule.p).amplitudes
     result = _evolve_states(schedule, initial_label, model, times, dt)
@@ -295,7 +342,7 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
     # temporary, so an op's heap peak stays that of the per-state code
     pops = np.abs(result.amplitudes)
     np.square(pops, out=pops)
-    if model == BLOCK_ANALYTIC:
+    if model == BLOCK:
         leakage = np.zeros(len(times))
     else:
         # summed left to right, one block state at a time
@@ -314,7 +361,7 @@ def protocol_timeseries(schedule: ProtocolSchedule, initial_label: Label,
         values.flags.writeable = False
     series = ProtocolSeries(shape, *arrays)
     worst = series.truncation_leak.max()
-    if model != BLOCK_ANALYTIC and worst > TRUNCATION_LIMIT:
+    if model != BLOCK and worst > TRUNCATION_LIMIT:
         raise TruncationError(
             f"top-level population {worst:.3e} exceeds {TRUNCATION_LIMIT:.1e}; "
             f"rerun with a shape larger than "

@@ -149,7 +149,7 @@ def test_criterion_07_full_model_truncation_convergence():
     for dim in (6, 8):
         shape = HilbertShape(dim, dim)
         schedule = ghz_schedule(params, shape=shape)
-        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld",
                                      pulse_times(schedule.t_p, 101))
         fids.append(series.fidelity[-1])
         leaks.append(series.block_leakage[-1])
@@ -190,9 +190,9 @@ def test_criterion_09_node_offset_compensation():
         sched_flat = ghz_schedule(params_flat, shape=shape)
         times = np.linspace(0.0, sched_flat.t_p, 40)
         series_phi = protocol_timeseries(sched_phi, ("g", 0, 0),
-                                         "block_analytic", times)
+                                         "block", times)
         series_flat = protocol_timeseries(sched_flat, ("g", 0, 0),
-                                          "block_analytic", times)
+                                          "block", times)
         worst = max(worst, float(np.max(np.abs(series_phi.fidelity
                                                - series_flat.fidelity))))
     ok = worst < 1e-6

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ghz_sim import checks, cli, evolution
 from ghz_sim.checks import CHECK_NAMES
-from ghz_sim.cli import MODEL_ALIASES, fmt, main, read_table, write_table
+from ghz_sim.cli import fmt, main, read_table, write_table
 from ghz_sim.errors import ConfigurationError
 from ghz_sim.evolution import block_propagator
 from ghz_sim import ghz_protocol
@@ -382,6 +382,43 @@ class TestExitCodes:
             "shape 2x2 cannot hold the (m, n) = (2, 2) block; the smallest "
             "shape that holds it is 3x3")
 
+    @pytest.mark.parametrize("config, message", [
+        ({"model": "ld_full"},
+         "unknown model 'ld_full'; choose from ['block', 'lab', 'ld', 'rwa']"),
+        ({"model": "warp"}, "unknown model 'warp'; choose from"),
+        ({"model": None}, "unknown model None; choose from"),
+        ({"model": "block", "dt": 5},
+         "dt = 5.000e-06 s steps only the lab model; model block has no "
+         "time step, so it would be ignored"),
+        ({"model": "ld", "dt": 5}, "model ld has no time step"),
+        ({"model": "rwa", "dt": 5}, "model rwa has no time step"),
+        ({"model": "ld", "shape": "10000000x10000000"},
+         "shape 10000000x10000000 needs 640,000,000,000,000,000,000,000,000,"
+         "000 bytes for its 200000000000000 x 200000000000000 Hamiltonian"),
+        ({"model": "block", "shape": "10000000x10000000"},
+         "needs 323,200,000,000,000,000 bytes for its n_times = 101 "
+         "trajectory")],
+        ids=["ld_full", "warp", "null", "dt-block", "dt-ld", "dt-rwa",
+             "memory-ld", "memory-block"])
+    def test_model_refusal_is_the_library_refusal(self, tmp_path, capsys,
+                                                  config, message):
+        # the library holds the rules on a model: protocol_timeseries
+        # refuses, before anything is built, what the CLI refuses
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli("ghz", "--config", str(cfg), "--output", str(out_file))
+        assert rc == 2
+        shape = cli.parse_shape(config.get("shape", "6x6"))
+        schedule = ghz_schedule(scaled_params(), shape=shape, tune=True)
+        dt = config["dt"] * 1e-6 if "dt" in config else None
+        with pytest.raises(ConfigurationError) as info:
+            protocol_timeseries(schedule, ("g", 0, 0), config["model"],
+                                pulse_times(schedule.t_p, 101), dt)
+        assert capsys.readouterr().err == f"ghz-sim: {info.value}\n"
+        assert message in str(info.value)
+        assert not out_file.exists()
+
     def test_the_smallest_shape_that_holds_the_block_runs(self, tmp_path):
         cfg = tmp_path / "block.json"
         cfg.write_text(json.dumps({"m": 3, "n": 1, "initial": "g,2,0"}))
@@ -642,8 +679,9 @@ class TestExitCodes:
                      "--shape", "6x6", "--output", str(out_file))
         err = capsys.readouterr().err
         assert rc == 2
-        assert "sweep axis dt" in err
-        assert f"model {MODEL_ALIASES[model]}" in err
+        assert err == (f"ghz-sim: sweep point dt = 0.0001: dt = 1.000e-10 s "
+                       f"steps only the lab model; model {model} has no time "
+                       f"step, so it would be ignored\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("model", ["block", "ld", "rwa"])
@@ -658,8 +696,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         # the wording of the dt sweep refusal
-        assert (f"config key dt = 5 steps only the lab_frame model; model "
-                f"{MODEL_ALIASES[model]} has no time step") in err
+        assert err == (f"ghz-sim: dt = 5.000e-06 s steps only the lab model; "
+                       f"model {model} has no time step, so it would be "
+                       f"ignored\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command", [
@@ -917,7 +956,7 @@ class TestSweepCommand:
             shape = HilbertShape(vib, 6)
             schedule = ghz_schedule(params, shape=shape, tune=True)
             reports[vib] = (shape, protocol_timeseries(
-                schedule, ("g", 0, 0), "ld_full",
+                schedule, ("g", 0, 0), "ld",
                 pulse_times(schedule.t_p, 101)).populations[-1])
         union = sorted({lbl for shape, pops in reports.values()
                         for lbl in shape.labels()
@@ -1023,6 +1062,26 @@ class TestSweepCommand:
         assert rc == 2
         assert "not tuned" in err and "config key g = 500" in err
         assert "null g is tuned" in err and "tune=True" not in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command, point", [
+        (("ghz",), ""),
+        (("sweep", "eta_c", "0.05"), "sweep point eta_c = 0.05: ")],
+        ids=["ghz", "sweep"])
+    def test_a_tuned_g_that_misses_the_condition_names_the_tuning(
+            self, tmp_path, capsys, command, point):
+        # 16 p^2 overflows and the tuned g underflows to 0; the g key is
+        # null, so the miss is not blamed on a held g
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"p": 1e300}))
+        out_file = tmp_path / "x.csv"
+        rc = run_cli(*command, "--config", str(cfg), "--output",
+                     str(out_file))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"ghz-sim: {point}tuning g for p = 1e+300 gives g = 0.000e+00 "
+            f"rad/s, which misses the GHZ condition: mu/a = inf, required "
+            f"4e+300\n")
         assert not out_file.exists()
 
     def test_held_g_at_a_vanishing_cos_phi_exits_two(self, tmp_path,
@@ -1314,7 +1373,7 @@ def test_ghz_processes_load_neither_checks_nor_hashlib(tmp_path):
     # between)
     (after_import, import_top, after_help, help_top, summary,
      after_run) = run(code, str(tmp_path / "ld.csv"))
-    assert summary.startswith("ghz model=ld_full")
+    assert summary.startswith("ghz model=ld ")
     assert after_import == after_help == "[] 0"
     assert after_run == "[] 1"
     for loaded in (import_top, help_top):

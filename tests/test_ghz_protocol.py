@@ -11,7 +11,7 @@ from ghz_sim.errors import (ConfigurationError, TruncationError,
                             UntunedError)
 from ghz_sim.fock_core import HilbertShape, basis_state, partial_trace
 from ghz_sim import ghz_protocol
-from ghz_sim.ghz_protocol import (MODEL_TAGS, POPULATION_FLOOR,
+from ghz_sim.ghz_protocol import (MODELS, POPULATION_FLOOR,
                                   ProtocolSchedule, evolve_lab, ghz_schedule,
                                   protocol_timeseries, pulse_times,
                                   target_state, tune_coupling)
@@ -105,6 +105,16 @@ class TestGhzSchedule:
         schedule = ghz_schedule(params, shape=HilbertShape(2, 2), tune=True)
         assert schedule.params.g == pytest.approx(TUNED_G, abs=0)
 
+    def test_a_tuned_g_that_misses_the_condition_is_refused_by_p(self):
+        # 16 p^2 overflows, so the tuned g underflows to 0: the miss is the
+        # tuning's, not that of a g held as given
+        with pytest.raises(ConfigurationError) as info:
+            ghz_schedule(scaled_params(), p=10 ** 300, tune=True)
+        assert not isinstance(info.value, UntunedError)
+        assert str(info.value) == (
+            "tuning g for p = 1e+300 gives g = 0.000e+00 rad/s, which misses "
+            "the GHZ condition: mu/a = inf, required 4e+300")
+
     def test_tuning_with_phi_compensates_effective_coupling(self):
         phi = math.pi / 3
         schedule = ghz_schedule(scaled_params(g=0.0, phi=phi),
@@ -193,7 +203,7 @@ class TestTargetState:
 
 
 class TestRunProtocol:
-    @pytest.mark.parametrize("model", MODEL_TAGS)
+    @pytest.mark.parametrize("model", MODELS)
     def test_row_zero_of_a_g00_series_scores_one_half(self, model):
         # the target is -(1/sqrt2)(|g,0,0> - i|e,1,1>), so the initial
         # state |g,0,0> has |<target|g,0,0>|^2 = 1/2 in every model
@@ -208,7 +218,7 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         for initial in (("g", 0, 0), ("e", 0, 0), ("g", 1, 1), ("e", 1, 1)):
-            series = protocol_timeseries(schedule, initial, "block_analytic",
+            series = protocol_timeseries(schedule, initial, "block",
                                          pulse_times(schedule.t_p, 101))
             assert series.fidelity[-1] == pytest.approx(1.0, abs=1e-10)
             assert series.block_leakage[-1] == 0.0
@@ -218,7 +228,7 @@ class TestRunProtocol:
         shape = HilbertShape(6, 6)
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
-        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld",
                                      pulse_times(schedule.t_p, 101))
         assert series.fidelity[-1] < 1.0
         assert series.block_leakage[-1] > 0.0
@@ -237,7 +247,7 @@ class TestRunProtocol:
         t = math.pi / (2.0 * omega)
         schedule = ProtocolSchedule(params=params, shape=shape, block=block,
                                     p=1, t_p=t)
-        series = protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+        series = protocol_timeseries(schedule, ("g", 0, 0), "ld",
                                      [0.0, t])
         pops = series.populations[-1]
         assert np.flatnonzero(pops).tolist() == [shape.index("e", 0, 0)]
@@ -255,10 +265,10 @@ class TestRunProtocol:
         schedule = ghz_schedule(params, shape=shape)
         times = pulse_times(schedule.t_p, 101)
         with pytest.raises(TruncationError, match="3x3") as refused:
-            protocol_timeseries(schedule, ("g", 0, 0), "ld_full", times)
+            protocol_timeseries(schedule, ("g", 0, 0), "ld", times)
         # refused after scoring: the error carries the refused run's scores
         series = refused.value.series
-        leak = ghz_protocol._evolve_states(schedule, ("g", 0, 0), "ld_full",
+        leak = ghz_protocol._evolve_states(schedule, ("g", 0, 0), "ld",
                                            times, None).truncation_leak
         assert series.truncation_leak.tolist() == leak.tolist()
         assert str(refused.value) == (
@@ -271,7 +281,7 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="block"):
-            protocol_timeseries(schedule, ("g", 2, 2), "block_analytic",
+            protocol_timeseries(schedule, ("g", 2, 2), "block",
                                 pulse_times(schedule.t_p, 101))
 
     def test_unknown_model_rejected(self):
@@ -288,8 +298,8 @@ class TestRunProtocol:
         schedule = ghz_schedule(params, shape=shape)
         t_short = schedule.t_p / 50.0
         times = [0.0, t_short]
-        lab = protocol_timeseries(schedule, ("g", 0, 0), "lab_frame", times)
-        rwa = protocol_timeseries(schedule, ("g", 0, 0), "rwa_full", times)
+        lab = protocol_timeseries(schedule, ("g", 0, 0), "lab", times)
+        rwa = protocol_timeseries(schedule, ("g", 0, 0), "rwa", times)
         assert lab.fidelity[-1] == pytest.approx(rwa.fidelity[-1], abs=5e-3)
         assert lab.norm[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -359,14 +369,14 @@ class TestRunProtocol:
 
         engine = ghz_protocol.evolve_timedep
         monkeypatch.setattr(ghz_protocol, "evolve_timedep", spy)
-        protocol_timeseries(schedule, ("g", 0, 0), "lab_frame", [0.0, 1e-3])
+        protocol_timeseries(schedule, ("g", 0, 0), "lab", [0.0, 1e-3])
         assert [kw["period"] for kw in seen] == \
             [math.pi / omega_L if omega_L else None]
         assert "omega_max" not in seen[0]
         # the names a caller's tracer binds
         assert {"t_end", "dt", "store_times"} <= set(seen[0])
 
-    @pytest.mark.parametrize("model", ["block_analytic", "ld_full"])
+    @pytest.mark.parametrize("model", ["block", "ld"])
     @pytest.mark.parametrize("n_times", [0, 1])
     def test_too_few_samples_rejected(self, model, n_times):
         # one sample would report the t = 0 state as the pulse result
@@ -383,11 +393,10 @@ class TestRunProtocol:
         params = scaled_params()
         schedule = ghz_schedule(params, shape=shape)
         with pytest.raises(ValueError, match="strictly increasing"):
-            protocol_timeseries(schedule, ("g", 0, 0), "block_analytic",
+            protocol_timeseries(schedule, ("g", 0, 0), "block",
                                 times)
 
-    @pytest.mark.parametrize("model", ["block_analytic", "ld_full",
-                                       "rwa_full", "lab_frame"])
+    @pytest.mark.parametrize("model", ["block", "ld", "rwa", "lab"])
     @pytest.mark.parametrize("times", [[math.nan], [0.0, math.inf], []])
     def test_non_finite_or_empty_times_are_refused_before_any_work(
             self, monkeypatch, model, times):
@@ -430,7 +439,7 @@ class TestLaserFrame:
         initial = ("g", 0, 0)
         run = schedule.params
         production = evolve_lab(run, basis_state(shape, *initial), times)
-        series = protocol_timeseries(schedule, initial, "lab_frame", times)
+        series = protocol_timeseries(schedule, initial, "lab", times)
 
         plain = evolve_timedep(lab_reference(run, shape),
                                basis_state(shape, *initial), times[-1],
@@ -458,7 +467,7 @@ def test_timeseries_starts_at_half_fidelity_for_ghz_target():
     params = scaled_params()
     shape = HilbertShape(2, 2)
     schedule = ghz_schedule(params, shape=shape)
-    series = protocol_timeseries(schedule, ("g", 0, 0), "block_analytic",
+    series = protocol_timeseries(schedule, ("g", 0, 0), "block",
                                  [0.0, schedule.t_p])
     assert series.fidelity[0] == pytest.approx(0.5, abs=1e-12)
     assert series.fidelity[-1] == pytest.approx(1.0, abs=1e-10)
@@ -482,25 +491,24 @@ def per_row_scores(amplitudes, target, block_idx):
     return fid, norm, leak, pops
 
 
-SCORING_CASES = [(model, dim) for model in ("block_analytic", "ld_full",
-                                            "rwa_full")
-                 for dim in (2, 6, 16)] + [("lab_frame", 3)]
+SCORING_CASES = [(model, dim) for model in ("block", "ld", "rwa")
+                 for dim in (2, 6, 16)] + [("lab", 3)]
 
 
 @pytest.mark.parametrize("model, dim", SCORING_CASES)
 def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     shape = HilbertShape(dim, dim)
-    params = scaled_params(Omega=1.0) if model == "lab_frame" \
+    params = scaled_params(Omega=1.0) if model == "lab" \
         else scaled_params()
     schedule = ghz_schedule(params, shape=shape)
     # the lab model runs a short window of few RK4 steps, and the full
     # models at 2x2 one short enough to stay inside the truncation guard
     t_end = schedule.t_p
-    if model == "lab_frame":
+    if model == "lab":
         t_end /= 50.0
-    elif dim == 2 and model != "block_analytic":
+    elif dim == 2 and model != "block":
         t_end /= 1000.0
-    times = np.linspace(0.0, t_end, 5 if model == "lab_frame" else 101)
+    times = np.linspace(0.0, t_end, 5 if model == "lab" else 101)
     initial = ("e", 0, 0)
     series = protocol_timeseries(schedule, initial, model, times)
     result = ghz_protocol._evolve_states(schedule, initial, model, times,
@@ -508,7 +516,7 @@ def test_array_scoring_matches_per_row_formulas_exactly(model, dim):
     fid, norm, leak, pops = per_row_scores(
         result.amplitudes, target_state(initial, shape).amplitudes,
         [shape.index(*lbl) for lbl in block_basis_labels(1, 1)])
-    if model == "block_analytic":
+    if model == "block":
         leak = [0.0] * len(times)
 
     assert series.times.tolist() == times.tolist()
@@ -540,7 +548,7 @@ def test_fidelity_is_one_vdot_per_row_bit_for_bit(monkeypatch, side,
     # such rows lie far above the truncation guard, which refuses them
     # after they are scored and carries the scores
     with pytest.raises(TruncationError) as refused:
-        protocol_timeseries(schedule, ("g", 0, 0), "ld_full",
+        protocol_timeseries(schedule, ("g", 0, 0), "ld",
                             np.arange(float(n_times)))
     series = refused.value.series
     target = target_state(("g", 0, 0), shape).amplitudes

@@ -69,28 +69,36 @@ def test_lab_pulse_menu_matches_the_pinned_fidelities(tmp_path, capsys,
     assert workloads.lab_check(op, path, REFS) is None
 
 
-@pytest.mark.parametrize("argv, config, eigensolves", [
-    (("ghz",), {}, 1),
-    (("sweep", "eta_c", "0.05,0.1"), {}, 2),
-    (("ghz",), {"dt": 1e-5}, 0),
-    (("sweep", "dt", "1e-5,2e-5"), {}, 0)],
+@pytest.mark.parametrize("argv, config, eigensolves, builds", [
+    (("ghz",), {}, 1, [True, False]),
+    (("sweep", "eta_c", "0.05,0.1"), {}, 2, [True, True, False, False]),
+    (("ghz",), {"dt": 1e-5}, 0, [False]),
+    (("sweep", "dt", "1e-5,2e-5"), {}, 0, [False, False])],
     ids=["ghz-default", "sweep-default", "ghz-dt", "sweep-dt"])
 def test_a_lab_run_takes_the_step_it_was_resolved_with(
-        tmp_path, capsys, monkeypatch, argv, config, eigensolves):
+        tmp_path, capsys, monkeypatch, argv, config, eigensolves, builds):
     # resolve_run picks a lab run's step, diagonalising H(0) when no dt is
     # given, and Run.dt carries that step to the integrator unchanged, so
-    # each run takes one eigensolve at most
+    # each run takes one eigensolve at most; the laser-frame source is
+    # built at resolution (True in builds) only for that eigensolve
     eigvalsh, resolve = np.linalg.eigvalsh, cli.resolve_run
     evolve = ghz_protocol.evolve_timedep
-    solves, runs, steps = [], [], []
+    source = ghz_protocol.rotating_frame_source
+    solves, runs, steps, resolving, built = [], [], [], [], []
 
     def counted(h):
         solves.append(h.shape)
         return eigvalsh(h)
 
     def resolved(point):
+        resolving.append(point)
         runs.append(resolve(point))
+        resolving.pop()
         return runs[-1]
+
+    def building(*args):
+        built.append(bool(resolving))
+        return source(*args)
 
     def stepped(*args, **kwargs):
         steps.append(kwargs["dt"])
@@ -99,6 +107,7 @@ def test_a_lab_run_takes_the_step_it_was_resolved_with(
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     monkeypatch.setattr(cli, "resolve_run", resolved)
     monkeypatch.setattr(ghz_protocol, "evolve_timedep", stepped)
+    monkeypatch.setattr(ghz_protocol, "rotating_frame_source", building)
     op = workloads.lab_op("g,0,0")
     run_op(replace(op, argv=(*argv, *op.argv[1:]),
                    config={**op.config, **config}), tmp_path, capsys)
@@ -106,3 +115,5 @@ def test_a_lab_run_takes_the_step_it_was_resolved_with(
     assert len(runs) == len(steps) > 0
     assert all(isinstance(run.dt, float) for run in runs)
     assert sorted(steps) == sorted(run.dt for run in runs)
+    assert built == builds
+
