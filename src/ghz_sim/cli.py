@@ -508,8 +508,11 @@ def cmd_sweep(args) -> int:
         return {**config, axis: value}
 
     def failed(value, exc: Exception) -> Exception:
-        """``exc``, its message led by the point that raised it."""
-        exc.args = (f"sweep point {axis} = {value!r}: {exc}",)
+        """``exc``, its message led by the point that raised it: an int
+        value as .12g, so 1e300 does not print as 301 digits, a float as
+        its repr."""
+        shown = f"{value:.12g}" if isinstance(value, int) else repr(value)
+        exc.args = (f"sweep point {axis} = {shown}: {exc}",)
         return exc
 
     runs = []

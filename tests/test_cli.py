@@ -1006,7 +1006,13 @@ class TestSweepCommand:
          "t = 3.510e-05 s at the spectral radius of H, which is at least "
          "9.934e+08 rad/s"),
         (("eta_c", "0.05,0.1", "--model", "ld"), {"g": 46.21760126474184},
-         "config key g")])
+         "config key g"),
+        # a whole-number point is printed as .12g, not as its 301 digits
+        (("p", "1e300", "--model", "block"), {},
+         "ghz-sim: sweep point p = 1e+300: tuning g for p = 1e+300 gives"),
+        (("p", "1e300", "--model", "block"), {"g": 500},
+         "ghz-sim: sweep point p = 1e+300: params are not tuned for a GHZ "
+         "pulse with p=1e+300: mu/a = 1.0621506484487029, required 4e+300;")])
     def test_every_point_is_resolved_before_the_first_runs(
             self, tmp_path, capsys, monkeypatch, argv, config, message):
         def spy(*args, **kwargs):

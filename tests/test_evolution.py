@@ -4,11 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lab_reference, scaled_params
+from conftest import (BAD_TIMES, lab_reference, make_block, scaled_lab_period,
+                      scaled_params)
 from ghz_sim import evolution
 from ghz_sim.errors import AccuracyError, ConfigurationError, ModelError
 from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
@@ -19,16 +19,6 @@ from ghz_sim.ghz_protocol import ghz_schedule
 from ghz_sim.hamiltonian import (BlockParams, SystemParams, block_matrix,
                                  build_ld_hamiltonian, rotating_frame_energies,
                                  rotating_frame_source)
-
-
-# times that break the sample-time contract, with the refusal each gets
-BAD_TIMES = [
-    ([math.nan], "must be finite and strictly increasing"),
-    ([-1.0, math.inf], "must be finite and strictly increasing"),
-    ([-2.0, -1.0], "must be >= 0"),
-    ([0.0, 1.0, 1.0], "must be finite and strictly increasing"),
-    ([], "must be finite and strictly increasing"),
-]
 
 
 @pytest.fixture
@@ -66,25 +56,7 @@ def evolutions(monkeypatch):
     return built
 
 
-def make_block(omega, a):
-    return BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
-
-
-def doubled_block_matrix(omega, a):
-    """4x4 chain whose exact propagator the closed form is: carrier Omega on
-    both pairs, sideband element 2a."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = omega
-    h[2, 3] = h[3, 2] = omega
-    h[0, 3] = h[3, 0] = 2.0 * a
-    return h
-
-
 class TestBlockPropagator:
-    def test_identity_at_t_zero(self):
-        u = block_propagator(make_block(1.0, 0.3), 0.0)
-        assert np.allclose(u, np.eye(4), atol=1e-15)
-
     def test_ghz_point(self):
         # mu t = pi and a t = pi/4: initial |g,m-1,n-1> lands on
         # -(1/sqrt2)(|g,m-1,n-1> - i |e,m,n>)
@@ -121,43 +93,6 @@ class TestBlockPropagator:
     def test_propagator_commutes_with_permutation(self):
         u = block_propagator(make_block(1.1, 0.4), 2.3)
         assert np.max(np.abs(BLOCK_PERMUTATION @ u - u @ BLOCK_PERMUTATION)) < 1e-14
-
-    def test_closed_form_is_exact_propagator_of_doubled_sideband_chain(self):
-        # honest characterization of the closed form: it matches
-        # expm(-iHt) of the doubled-coupling chain to machine precision
-        # (and therefore not the coupling-a block; see test_acceptance)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            omega = rng.uniform(0.3, 2.0)
-            a = rng.uniform(0.05, 1.5)
-            t = rng.uniform(0.0, 6.0)
-            u = block_propagator(make_block(omega, a), t)
-            u_ref = scipy.linalg.expm(-1j * doubled_block_matrix(omega, a) * t)
-            assert np.max(np.abs(u - u_ref)) < 1e-12
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="propagation time must be >= 0"):
-            block_propagator(make_block(1.0, 0.3), -0.1)
-
-    @settings(deadline=None, max_examples=25)
-    @given(seed=st.integers(0, 10_000), t=st.floats(0.0, 8.0))
-    def test_norm_preserved_for_random_states(self, seed, t):
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        out = block_propagator(make_block(0.9, 0.35), t) @ amps
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-    def test_linearity(self):
-        block = make_block(1.0, 0.5)
-        t = 1.7
-        e1 = np.array([1, 0, 0, 0], dtype=complex)
-        e3 = np.array([0, 0, 1, 0], dtype=complex)
-        combo = (e1 + 2j * e3) / math.sqrt(5)
-        out = block_propagator(block, t) @ combo
-        parts = (block_propagator(block, t) @ e1
-                 + 2j * block_propagator(block, t) @ e3)
-        assert np.allclose(out, parts / math.sqrt(5), atol=1e-14)
 
 
 def block_propagator_per_time(block: BlockParams, t: float) -> np.ndarray:
@@ -222,18 +157,6 @@ class TestBlockPropagatorArray:
         assert np.array_equal(block_propagator(block, 2.3),
                               block_propagator_per_time(block, 2.3))
 
-    def test_one_negative_time_rejected(self):
-        # a grid of sample times, so a negative one after 0.5 breaks the
-        # increase before the sign is looked at
-        with pytest.raises(ValueError, match="strictly increasing"):
-            block_propagator(make_block(1.0, 0.3),
-                             np.array([0.0, 0.5, -1e-12, 1.0]))
-
-    @pytest.mark.parametrize("times, message", BAD_TIMES)
-    def test_bad_times_are_refused(self, times, message):
-        with pytest.raises(ValueError, match="propagation time " + message):
-            block_propagator(make_block(1.0, 0.3), np.array(times))
-
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_bad_scalar_time_is_refused(self, t):
         # NaN compares False against 0, so a sign test alone returned a
@@ -264,18 +187,6 @@ class TestEvolveStatic:
             expected = np.array([math.cos(omega * t), -1j * math.sin(omega * t)])
             assert np.max(np.abs(amps - expected)) < 1e-12
 
-    def test_matches_scipy_expm(self):
-        rng = np.random.default_rng(11)
-        shape = HilbertShape(3, 2)
-        d = shape.total_dim
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = h + h.conj().T
-        psi0 = basis_state(shape, "g", 1, 1)
-        t = 0.83
-        result = evolve_static(h, psi0, [t])
-        expected = scipy.linalg.expm(-1j * h * t) @ psi0.amplitudes
-        assert np.max(np.abs(result.amplitudes[-1] - expected)) < 1e-11
-
     def test_norm_and_energy_preserved(self):
         params = scaled_params(Omega=1.0)
         shape = HilbertShape(4, 4)
@@ -285,7 +196,6 @@ class TestEvolveStatic:
         result = evolve_static(h, psi0, times)
         energies = []
         for amps in result.amplitudes:
-            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
             energies.append(np.vdot(amps, h @ amps).real)
         spread = np.max(energies) - np.min(energies)
         scale = max(abs(np.max(energies)), np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -310,36 +220,6 @@ class TestEvolveStatic:
             assert np.array_equal(
                 amps, vecs @ (np.exp(-1j * evals * t) * coeffs))
 
-    def test_non_hermitian_rejected(self):
-        shape = HilbertShape(1, 1)
-        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ModelError):
-            evolve_static(h, basis_state(shape, "g", 0, 0), [0.1])
-
-    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
-                                       complex(0, math.nan)])
-    def test_non_finite_entries_rejected(self, entry):
-        # a NaN deviation compares False against the tolerance; it is refused
-        shape = HilbertShape(1, 1)
-        for h in (np.array([[0, entry], [entry, 0]], dtype=complex),
-                  np.array([[entry, 0], [0, 0]], dtype=complex)):
-            with pytest.raises(ModelError, match="not Hermitian"):
-                evolve_static(h, basis_state(shape, "g", 0, 0), [0.0, 1.0])
-
-    def test_times_must_increase(self):
-        shape = HilbertShape(1, 1)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            evolve_static(np.zeros((2, 2), dtype=complex),
-                          basis_state(shape, "g", 0, 0), [0.0, 1.0, 0.5])
-
-    @pytest.mark.parametrize("times, message", BAD_TIMES)
-    def test_bad_times_are_refused_before_eigh(self, times, message,
-                                               eigh_calls):
-        shape = HilbertShape(1, 1)
-        with pytest.raises(ValueError, match="times " + message):
-            evolve_static(np.zeros((2, 2), dtype=complex),
-                          basis_state(shape, "g", 0, 0), times)
-        assert eigh_calls == []
 
 
 class TestEigensystemReuse:
@@ -565,9 +445,12 @@ class TestHermiticityCheck:
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
                                        complex(0, math.nan),
                                        complex(1.0, math.inf)])
-    def test_non_finite_entries_are_refused_without_a_warning(self, entry):
+    @pytest.mark.parametrize("row, column", [(3, 3), (2, 13)])
+    def test_non_finite_entries_are_refused_without_a_warning(self, entry,
+                                                              row, column):
+        # a NaN deviation compares False against the tolerance; it is refused
         h = self.hermitian(True)
-        h[3, 3] = entry
+        h[row, column] = h[column, row] = entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ModelError, match="not Hermitian"):
@@ -726,17 +609,6 @@ def mild_lab_source():
 
 
 class TestEvolveTimedep:
-    def test_constant_hamiltonian_matches_static(self):
-        params = scaled_params(Omega=1.0)
-        shape = HilbertShape(3, 3)
-        h = build_ld_hamiltonian(params, shape)
-        psi0 = basis_state(shape, "g", 0, 0)
-        t_end = 2.5
-        static = evolve_static(h, psi0, [t_end])
-        timedep = evolve_timedep(lambda t: h, psi0, t_end, dt=5e-3)
-        dev = np.max(np.abs(static.amplitudes[-1] - timedep.amplitudes[-1]))
-        assert dev < 1e-8
-
     def test_free_evolution_keeps_populations(self):
         shape = HilbertShape(2, 2)
         source = lab_reference(free_params(), shape)
@@ -784,62 +656,15 @@ class TestEvolveTimedep:
             evolve_timedep(lambda t: h, psi0, 50.0, dt=0.25)
         assert err.value.drift is not None and err.value.drift > 1e-6
 
-    def test_rejects_bad_dt(self):
-        shape = HilbertShape(1, 1)
-        psi0 = basis_state(shape, "g", 0, 0)
-        with pytest.raises(ConfigurationError):
-            evolve_timedep(lambda t: np.zeros((2, 2)), psi0, 1.0, dt=0.0)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_rejects_non_finite_dt(self, dt):
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+    def test_rejects_bad_dt(self, dt):
         shape = HilbertShape(1, 1)
         psi0 = basis_state(shape, "g", 0, 0)
         with pytest.raises(ConfigurationError, match="finite"):
             evolve_timedep(lambda t: np.zeros((2, 2)), psi0, 1.0, dt=dt)
 
 
-def scaled_lab_period():
-    """Lab source on the scaled hierarchy (omega_L = 4000 Omega) at 3x3, its
-    laser period T and the step T / 400."""
-    params = scaled_params(Omega=1.0)
-    shape = HilbertShape(3, 3)
-    period = 2 * math.pi / params.omega_L
-    return (shape, lab_reference(params, shape), period,
-            period / 400)
-
-
 class TestPeriodPropagator:
-    # the period path and the whole-pulse path are two RK4 discretisations
-    # of one flow, each about 1e-12 from it at dt = T / 400 (measured gap
-    # 3.6e-12 over 5.3 periods)
-    PIN_ATOL = 1e-10
-
-    def test_matches_whole_pulse_over_several_periods(self):
-        shape, source, period, dt = scaled_lab_period()
-        psi0 = basis_state(shape, "e", 0, 0)
-        times = np.linspace(0.0, 5.3 * period, 12)
-        whole = evolve_timedep(source, psi0, times[-1], dt, store_times=times)
-        folded = evolve_timedep(source, psi0, times[-1], dt, store_times=times,
-                                period=period)
-        assert np.array_equal(folded.times, times)
-        assert np.max(np.abs(folded.amplitudes - whole.amplitudes)) \
-            < self.PIN_ATOL
-        # norm_drift includes the unitarity bound k ||U(T)†U(T) - 1||
-        assert whole.norm_drift < folded.norm_drift < 1e-6
-
-    def test_store_times_exactly_at_whole_periods(self):
-        # floor(13 T / T) rounds to 12 here, so that row is read at tau ~ T
-        shape, source, period, dt = scaled_lab_period()
-        psi0 = basis_state(shape, "g", 0, 0)
-        times = np.array([0.0, period, 2 * period, 13 * period])
-        assert math.floor(times[-1] / period) == 12
-        whole = evolve_timedep(source, psi0, times[-1], dt, store_times=times)
-        folded = evolve_timedep(source, psi0, times[-1], dt, store_times=times,
-                                period=period)
-        assert np.array_equal(folded.amplitudes[0], psi0.amplitudes)
-        assert np.max(np.abs(folded.amplitudes - whole.amplitudes)) \
-            < self.PIN_ATOL
-
     def test_runs_inside_the_first_period_are_bit_identical(self):
         shape, source, period, dt = scaled_lab_period()
         psi0 = basis_state(shape, "g", 0, 0)
@@ -852,10 +677,15 @@ class TestPeriodPropagator:
 
     def test_unitarity_bound_raises_at_coarse_dt(self):
         # at T / 200 each step's norm drift stays under the limit, but the
-        # worst-case bound over 5 periods does not
-        shape, source, period, _ = scaled_lab_period()
+        # worst-case bound over 5 periods does not; at T / 400 the bound
+        # passes, and norm_drift includes it
+        shape, source, period, dt = scaled_lab_period()
         psi0 = basis_state(shape, "g", 0, 0)
         times = [0.0, 5.3 * period]
+        whole, folded = (evolve_timedep(source, psi0, times[-1], dt,
+                                        store_times=times, period=periodic)
+                         for periodic in (None, period))
+        assert whole.norm_drift < folded.norm_drift < 1e-6
         whole = evolve_timedep(source, psi0, times[-1], period / 200,
                                store_times=times)
         assert whole.norm_drift < 1e-6
@@ -871,42 +701,11 @@ class TestPeriodPropagator:
             evolve_timedep(source, basis_state(shape, "g", 0, 0), 1e-3, dt,
                            period=period)
 
-    @pytest.mark.parametrize("times", [
-        [0.0, math.nan, 1.0], [0.0, math.inf, 1.0], [0.0, 0.5, 0.5, 1.0],
-        [0.0, 0.7, 0.5, 1.0], []])
-    @pytest.mark.parametrize("periodic", [False, True])
-    def test_bad_store_times_are_refused_before_any_step(self, times,
-                                                         periodic):
-        shape, source, period, dt = scaled_lab_period()
-        calls = []
-
-        def counted(t):
-            calls.append(t)
-            return source(t)
-
-        t_end = times[-1] if times else 1.0
-        scale = period if periodic else 1e-3
-        with pytest.raises(ValueError, match="store_times must be finite "
-                                             "and strictly increasing"):
-            evolve_timedep(counted, basis_state(shape, "g", 0, 0),
-                           t_end * scale, dt,
-                           store_times=[t * scale for t in times],
-                           period=period if periodic else None)
-        assert calls == []
-
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
     def test_rejects_bad_t_end(self, t_end):
         shape, source, _, dt = scaled_lab_period()
         with pytest.raises(ValueError, match="t_end must be a finite"):
             evolve_timedep(source, basis_state(shape, "g", 0, 0), t_end, dt)
-
-    def test_rejects_negative_store_times(self):
-        # a negative time would need U(T)^-1
-        shape, source, period, dt = scaled_lab_period()
-        with pytest.raises(ValueError, match=">= 0"):
-            evolve_timedep(source, basis_state(shape, "g", 0, 0), 2 * period,
-                           dt, store_times=[-0.5 * period, 2 * period],
-                           period=period)
 
 
 def held(state, times):
@@ -916,12 +715,6 @@ def held(state, times):
 
 
 class TestInteractionPicture:
-    def test_identity_at_t_zero(self):
-        shape = HilbertShape(2, 2)
-        state = basis_state(shape, "e", 1, 0)
-        out = to_interaction_picture(held(state, [0.0]), scaled_params())
-        assert np.array_equal(out.amplitudes[0], state.amplitudes)
-
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 1000), t=st.floats(0.0, 5.0))
     def test_populations_unchanged(self, seed, t):
