@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import math
 import sys
@@ -8,14 +7,12 @@ import numpy as np
 import scipy.linalg
 
 from ghz_sim.checks import _o_k_entry_laguerre
-from ghz_sim.evolution import evolve_timedep
-from ghz_sim.fock_core import HilbertShape, QuantumState, kron3
+from ghz_sim.fock_core import HilbertShape, kron3
 from ghz_sim.ghz_protocol import tune_coupling
 from ghz_sim.hamiltonian import BlockParams, SystemParams
 
 
-# sample-time grids that break the contract of evolution.require_sample_times,
-# with the refusal each gets
+# times that break the sample-time contract, with the refusal each gets
 BAD_TIMES = [
     ([math.nan], "must be finite and strictly increasing"),
     ([-1.0, math.inf], "must be finite and strictly increasing"),
@@ -85,27 +82,6 @@ def lab_reference(params, shape):
         return h_static + phase * laser_up + np.conj(phase) * laser_down
 
     return h_of_t
-
-
-@functools.cache
-def plain_lab_frame(params, shape, psi0: tuple, times: tuple) -> np.ndarray:
-    """The lab engine's reference, one read-only array per argument set:
-    :func:`lab_reference` from ``psi0``, marched by plain RK4 through every
-    laser period at T_L / 400 and taken to the interaction picture by the
-    full free phases exp(+i H0 t); its own RK4 error is 3.8e-9 in the
-    amplitudes and 5.4e-11 in the fidelity over 0.02 t_p at 3x3 (16x less
-    at half the step)."""
-    times = np.array(times)
-    plain = evolve_timedep(lab_reference(params, shape),
-                           QuantumState(shape, psi0), times[-1],
-                           2 * math.pi / params.omega_L / 400,
-                           store_times=times)
-    s, m, n = shape.levels
-    energies = (params.nu * (m + 0.5) + params.omega_c * n
-                + 0.5 * params.omega_0 * (2 * s - 1))
-    reference = np.exp(1j * energies * times[:, None]) * plain.amplitudes
-    reference.flags.writeable = False
-    return reference
 
 
 def scaled_lab_period():

@@ -11,6 +11,7 @@ reference.
 
 import functools
 import inspect
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,13 +19,14 @@ import pytest
 import scipy.linalg
 
 import ghz_sim
-from conftest import (BAD_TIMES, make_block, plain_lab_frame,
+from conftest import (BAD_TIMES, lab_reference, make_block,
                       scaled_lab_period, scaled_params)
 from ghz_sim import evolution, ghz_protocol
 from ghz_sim.evolution import (NORM_DRIFT_LIMIT, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep)
 from ghz_sim.fock_core import HilbertShape, QuantumState, basis_state
-from ghz_sim.ghz_protocol import evolve_lab, ghz_schedule
+from ghz_sim.ghz_protocol import (evolve_lab, ghz_schedule,
+                                  protocol_timeseries, target_state)
 from ghz_sim.hamiltonian import build_ld_hamiltonian
 
 
@@ -41,6 +43,22 @@ class Engine(NamedTuple):
 def expm_of(h):
     return lambda psi0, times: np.array(
         [scipy.linalg.expm(-1j * h * t) @ psi0 for t in times])
+
+
+def plain_lab_frame(params, shape, psi0, times):
+    """The lab engine's reference: conftest.lab_reference from ``psi0``,
+    marched by plain RK4 through every laser period at T_L / 400 and taken
+    to the interaction picture by the full free phases exp(+i H0 t); its own
+    RK4 error is 3.8e-9 in the amplitudes and 5.4e-11 in the fidelity over
+    0.02 t_p at 3x3 (16x less at half the step)."""
+    plain = evolve_timedep(lab_reference(params, shape),
+                           QuantumState(shape, psi0), times[-1],
+                           2 * math.pi / params.omega_L / 400,
+                           store_times=times)
+    s, m, n = shape.levels
+    energies = (params.nu * (m + 0.5) + params.omega_c * n
+                + 0.5 * params.omega_0 * (2 * s - 1))
+    return np.exp(1j * energies * times[:, None]) * plain.amplitudes
 
 
 def timedep(source, dt, period=None):
@@ -90,9 +108,8 @@ ENGINES = {
                          (2 * PERIOD, 3 * PERIOD)),
     "lab": Engine(lambda psi0, times: evolve_lab(
         LAB.params, QuantumState(SHAPE, psi0), times), NORM_DRIFT_LIMIT,
-        lambda psi0, times: plain_lab_frame(LAB.params, SHAPE, tuple(psi0),
-                                            tuple(times)),
-        1e-8, G00, np.linspace(0.0, 0.02 * LAB.t_p, 11)),
+        functools.partial(plain_lab_frame, LAB.params, SHAPE), 1e-8, G00,
+        np.linspace(0.0, 0.02 * LAB.t_p, 11)),
 }
 each_engine = pytest.mark.parametrize("name", ENGINES)
 
@@ -143,12 +160,25 @@ def test_propagators_compose(name):
         < engine.atol
 
 
+@functools.cache
+def expected(name):
+    engine = ENGINES[name]
+    return engine.reference(engine.psi0, engine.times)
+
+
 @each_engine
 def test_matches_its_reference(name):
-    engine = ENGINES[name]
-    expected = engine.reference(engine.psi0, engine.times)
-    assert np.max(np.abs(trajectory(name).amplitudes - expected)) \
-        < engine.atol
+    assert np.max(np.abs(trajectory(name).amplitudes - expected(name))) \
+        < ENGINES[name].atol
+
+
+def test_the_scored_lab_run_matches_its_reference():
+    # the lab reference pins the protocol's fidelity too: measured gap
+    # 5.4e-11, that reference's own RK4 error
+    series = protocol_timeseries(LAB, ("g", 0, 0), "lab", ENGINES["lab"].times)
+    target = target_state(("g", 0, 0), SHAPE).amplitudes
+    assert np.max(np.abs(series.fidelity - [
+        abs(np.vdot(target, row)) ** 2 for row in expected("lab")])) < 1e-9
 
 
 def work(*args, **kwargs):
@@ -180,6 +210,9 @@ def test_every_exported_engine_has_a_registry_entry():
                 & set(inspect.signature(value).parameters)
                 and inspect.signature(value).return_annotation
                 in ("EvolutionResult", "np.ndarray")}
+    # the rule above still finds today's engines
+    assert exported >= {"block_propagator", "evolve_static",
+                        "evolve_timedep", "evolve_lab"}
     entries = set()
     for engine in ENGINES.values():
         names = inspect.getclosurevars(engine.run)

@@ -94,6 +94,15 @@ class TestBlockPropagator:
         u = block_propagator(make_block(1.1, 0.4), 2.3)
         assert np.max(np.abs(BLOCK_PERMUTATION @ u - u @ BLOCK_PERMUTATION)) < 1e-14
 
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), t=st.floats(0.0, 8.0))
+    def test_norm_preserved_for_random_states(self, seed, t):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        out = block_propagator(make_block(0.9, 0.35), t) @ amps
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
 
 def block_propagator_per_time(block: BlockParams, t: float) -> np.ndarray:
     """Reference: the per-time closed form the array form must reproduce
@@ -219,7 +228,6 @@ class TestEvolveStatic:
         for t, amps in zip(times, result.amplitudes):
             assert np.array_equal(
                 amps, vecs @ (np.exp(-1j * evals * t) * coeffs))
-
 
 
 class TestEigensystemReuse:
