@@ -6,40 +6,38 @@ strictly increasing, refused with ValueError before any eigendecomposition,
 H(t) evaluation or step. Each returns the state at exactly those times
 (bit for bit), the initial state being the state at t = 0, and each
 declares a norm drift that no row's norm and no reported ``norm_drift``
-exceeds; its propagator's columns are unitary to the same bound. Every
-full-space engine returns its trajectory as one (times x dim) complex
-amplitude array in an :class:`EvolutionResult`. ``tests/test_engines.py``
-holds one registry of the engines and checks every one against the
-contract and a reference.
+exceeds, and its propagator's columns are unitary to the same bound:
+rounding for the two exact engines, NORM_DRIFT_LIMIT for the two
+Runge-Kutta ones. Every full-space engine returns its trajectory as one
+(times x dim) complex amplitude array in an :class:`EvolutionResult`. The
+registry ENGINES in ``tests/test_engines.py`` holds each engine's bound
+and reference and checks every engine against them.
 
 * :func:`block_propagator` is the closed-form 4x4 propagator of one
   sideband block, at one time or stacked over an array of times (see the
-  honesty note in its docstring). Declared drift 1e-12: it is unitary up
-  to rounding, and U(t1 + t2) = U(t2) U(t1);
+  honesty note in its docstring); U(t1 + t2) = U(t2) U(t1);
 * :func:`evolve_static` evolves under any time-independent Hermitian
-  Hamiltonian by eigendecomposition, exp(-iHt) applied exactly; declared
-  drift 1e-10, and it composes in time like the block. It holds its last
-  run, the eigensystem of that H and the read-only result. The
-  eigensystem is reused while the next H has the same bits, and the whole
-  result while the initial amplitudes and times repeat too (a tuned LD
-  sweep over eta_c, eta_L or phi builds one matrix, at one pulse time, at
-  every point). Hermiticity is checked once per distinct H, and a reused
-  run is the bit-for-bit result of a cold one. All sample times are
-  evolved in one numpy call, with no Python loop over them;
+  Hamiltonian by eigendecomposition, exp(-iHt) applied exactly, and
+  composes in time like the block. It holds its last run, the eigensystem
+  of that H and the read-only result. The eigensystem is reused while the
+  next H has the same bits, and the whole result while the initial
+  amplitudes and times repeat too (a tuned LD sweep over eta_c, eta_L or
+  phi builds one matrix, at one pulse time, at every point). Hermiticity
+  is checked once per distinct H, and a reused run is the bit-for-bit
+  result of a cold one. All sample times are evolved in one numpy call,
+  with no Python loop over them;
 * :func:`evolve_timedep` integrates a time-dependent Hamiltonian (the
   lab-frame model, in the laser frame) with a fixed-step classical
   Runge-Kutta scheme (midpoint Hamiltonian evaluations); given the period T
   of H(t) it keeps dt <= T / STEPS_PER_PERIOD, integrates one period only
   and reaches later times through U(k T + tau) = U(tau) U(T)^k, which
   composes over whole periods, refusing a run beyond its work bound
-  (MAX_RK4_STEPS, MAX_PERIOD_POWERS) before the first step. Declared drift
-  NORM_DRIFT_LIMIT, with or without a period: norm drift is measured at
-  every step, never repaired by renormalization, and a run above the limit
-  raises AccuracyError; it is the accuracy signal;
+  (MAX_RK4_STEPS, MAX_PERIOD_POWERS) before the first step. Norm drift is
+  measured at every step, never repaired by renormalization, and a run
+  above NORM_DRIFT_LIMIT raises AccuracyError; it is the accuracy signal;
 * ``ghz_protocol.evolve_lab`` is the lab-frame model's entry point: the
   exact laser frame through :func:`evolve_timedep` over one period
-  pi / omega_L, then :func:`to_interaction_picture`. Declared drift
-  NORM_DRIFT_LIMIT, that of its integrator;
+  pi / omega_L, then :func:`to_interaction_picture`;
 * :func:`to_interaction_picture` applies the diagonal phases that map a
   laser-frame trajectory into the interaction picture.
 """

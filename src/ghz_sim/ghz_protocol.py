@@ -174,12 +174,9 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
                 f"tuning g for p = {p:.3g} gives g = {params.g:.3e} rad/s, "
                 f"which misses the GHZ condition: mu/a = {ratio!r}, required "
                 f"{4 * p:.3g}")
-        # an int p as .12g, so a huge one does not print every digit
-        p_text, required = (f"{x:.12g}" if isinstance(x, int) else x
-                            for x in (p, 4 * p))
         raise UntunedError(f"params are not tuned for a GHZ pulse with "
-                           f"p={p_text}: mu/a = {ratio!r}, required "
-                           f"{required}")
+                           f"p={p:.12g}: mu/a = {ratio!r}, required "
+                           f"{4 * p:.12g}")
     if shape.vib_dim <= m or shape.cav_dim <= n:
         raise ConfigurationError(
             f"shape {shape.vib_dim}x{shape.cav_dim} cannot hold the (m, n) = "

@@ -46,6 +46,16 @@ def make_block(omega, a):
     return BlockParams(m=1, n=1, Omega=omega, a=a, mu=math.hypot(a, omega))
 
 
+def doubled_block_matrix(omega, a):
+    """4x4 chain whose exact propagator the closed form is: carrier Omega on
+    both pairs, sideband element 2a."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = h[1, 0] = omega
+    h[2, 3] = h[3, 2] = omega
+    h[0, 3] = h[3, 0] = 2.0 * a
+    return h
+
+
 # independent oracle for <m|O_k|m>: the generalized-Laguerre closed form
 # exp(-eta^2/2) m!/(m+k)! L_m^(k)(eta^2) shared with the validate suite, not a
 # copy of the production series

@@ -3,10 +3,11 @@
 An entry of ENGINES adapts one engine to ``run(psi0, times)``: initial
 amplitudes (D,) and sample times from 0 in, an EvolutionResult out. It also
 holds the norm drift the engine declares, the (T, D) reference it is pinned
-to with the pin's tolerance, its pinned case (psi0, times) and, where
-U(t1 + t2) = U(t2) U(t1) holds, a pair (t1, t2). Every invariant below runs
-on every entry it applies to, so a new engine is one registry line and one
-reference.
+to with the pin's tolerance, its pinned case (psi0, times), where
+U(t1 + t2) = U(t2) U(t1) holds a pair (t1, t2), and how far row 0 may be
+from psi0: 0, bit for bit, unless the engine rounds at t = 0. Every
+invariant below runs on every entry it applies to, so a new engine is one
+registry line and one reference.
 """
 
 import functools
@@ -19,8 +20,8 @@ import pytest
 import scipy.linalg
 
 import ghz_sim
-from conftest import (BAD_TIMES, lab_reference, make_block,
-                      scaled_lab_period, scaled_params)
+from conftest import (BAD_TIMES, doubled_block_matrix, lab_reference,
+                      make_block, scaled_lab_period, scaled_params)
 from ghz_sim import evolution, ghz_protocol
 from ghz_sim.evolution import (NORM_DRIFT_LIMIT, EvolutionResult,
                                block_propagator, evolve_static, evolve_timedep)
@@ -38,6 +39,7 @@ class Engine(NamedTuple):
     psi0: np.ndarray
     times: np.ndarray
     compose: tuple[float, float] | None = None
+    row_zero: float = 0.0
 
 
 def expm_of(h):
@@ -72,11 +74,9 @@ def timedep(source, dt, period=None):
 SHAPE, LAB_H, PERIOD, STEP = scaled_lab_period()
 G00, E00 = (basis_state(SHAPE, s, 0, 0).amplitudes for s in "ge")
 # the closed form propagates the chain with carrier Omega = 0.9 on both
-# pairs and sideband element 2a = 0.7 exactly (test_acceptance measures it
-# against block_matrix's a); HilbertShape(1, 2) only sizes its D = 4 rows
-BLOCK = make_block(0.9, 0.35)
-CHAIN = np.array([[0, 0.9, 0, 0.7], [0.9, 0, 0, 0], [0, 0, 0, 0.9],
-                  [0.7, 0, 0.9, 0]], dtype=complex)
+# pairs and sideband element 2a (test_acceptance measures it against
+# block_matrix's a); HilbertShape(1, 2) only sizes its D = 4 rows
+BLOCK, CHAIN = make_block(0.9, 0.35), doubled_block_matrix(0.9, 0.35)
 # a random Hermitian H at 3x2
 _re, _im = np.random.default_rng(11).normal(size=(2, 12, 12))
 STATIC_H = (_re + 1j * _im) + (_re + 1j * _im).conj().T
@@ -93,7 +93,7 @@ ENGINES = {
         STATIC_H, QuantumState(HilbertShape(3, 2), psi0), times),
         1e-10, expm_of(STATIC_H), 1e-11,
         basis_state(HilbertShape(3, 2), "g", 1, 1).amplitudes,
-        np.array([0.0, 0.83]), (0.4, 0.43)),
+        np.array([0.0, 0.83]), (0.4, 0.43), row_zero=1e-15),
     "rk4": Engine(timedep(lambda t: LD_H, 5e-3), NORM_DRIFT_LIMIT,
                   lambda psi0, times: evolve_static(
                       LD_H, QuantumState(SHAPE, psi0), times).amplitudes,
@@ -140,8 +140,8 @@ def test_row_zero_is_psi0_and_the_basis_columns_are_unitary(name):
     # u[i][:, j] is basis state j at times[i]
     u = np.stack([engine.run(column, engine.times).amplitudes
                   for column in np.eye(dim, dtype=complex)], axis=2)
-    # exact but for an eigendecomposition's V V†
-    assert np.max(np.abs(u[0] - np.eye(dim))) < 1e-15
+    # static's row 0 is V V† psi0, exact but for rounding
+    assert np.max(np.abs(u[0] - np.eye(dim))) <= engine.row_zero
     gram = u.conj().transpose(0, 2, 1) @ u
     assert np.max(np.abs(gram - np.eye(dim))) <= engine.drift
 
@@ -195,6 +195,8 @@ def test_bad_times_are_refused_before_any_work(monkeypatch, name, times,
                              (evolution, "_rk4_segment"),
                              (ghz_protocol, "rotating_frame_source")):
         monkeypatch.setattr(owner, attribute, work)
+    # an empty memo, so a held eigensystem cannot stand in for eigh
+    monkeypatch.setattr(evolution, "_held", None)
     engine = ENGINES[name]
     # evolve_timedep checks t_end, the grid's last sample here, first
     with pytest.raises(ValueError, match=rf"times? {message}|^t_end must be "

@@ -4,11 +4,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BAD_TIMES, lab_reference, make_block, scaled_lab_period,
-                      scaled_params)
+from conftest import (BAD_TIMES, doubled_block_matrix, lab_reference,
+                      make_block, scaled_lab_period, scaled_params)
 from ghz_sim import evolution
 from ghz_sim.errors import AccuracyError, ConfigurationError, ModelError
 from ghz_sim.evolution import (BLOCK_PERMUTATION, EvolutionResult,
@@ -93,6 +94,19 @@ class TestBlockPropagator:
     def test_propagator_commutes_with_permutation(self):
         u = block_propagator(make_block(1.1, 0.4), 2.3)
         assert np.max(np.abs(BLOCK_PERMUTATION @ u - u @ BLOCK_PERMUTATION)) < 1e-14
+
+    def test_closed_form_is_exact_propagator_of_doubled_sideband_chain(self):
+        # honest characterization of the closed form: it matches
+        # expm(-iHt) of the doubled-coupling chain to machine precision
+        # (and therefore not the coupling-a block; see test_acceptance)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            omega = rng.uniform(0.3, 2.0)
+            a = rng.uniform(0.05, 1.5)
+            t = rng.uniform(0.0, 6.0)
+            u = block_propagator(make_block(omega, a), t)
+            u_ref = scipy.linalg.expm(-1j * doubled_block_matrix(omega, a) * t)
+            assert np.max(np.abs(u - u_ref)) < 1e-12
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), t=st.floats(0.0, 8.0))
@@ -205,6 +219,7 @@ class TestEvolveStatic:
         result = evolve_static(h, psi0, times)
         energies = []
         for amps in result.amplitudes:
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
             energies.append(np.vdot(amps, h @ amps).real)
         spread = np.max(energies) - np.min(energies)
         scale = max(abs(np.max(energies)), np.max(np.abs(np.linalg.eigvalsh(h))))
