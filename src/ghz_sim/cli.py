@@ -88,11 +88,15 @@ def fmt(x: float) -> str:
 def load_config(path: str | None, overrides: dict) -> dict:
     config = dict(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config {path}: invalid JSON ({exc})")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(f"config {path}: {exc}") from None
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config {path}: invalid JSON ({exc})")
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config {path}: expected a JSON object")
         unknown = set(loaded) - set(DEFAULT_CONFIG)
@@ -141,7 +145,17 @@ def build_params(config: dict) -> tuple[SystemParams, bool]:
                 f"{key} must be a number, got {config[key]!r}")
         return value
 
-    values = {key: 0.0 if key == "g" and tune else number(key) * scale
+    def frequency(key: str) -> float:
+        value = number(key)
+        # a finite value that overflows in the unit scaling is named as the
+        # config writes it, not as the inf it became
+        if math.isfinite(value) and not math.isfinite(value * scale):
+            raise ConfigurationError(
+                f"{key} = {config[key]!r} MHz overflows to {value * scale} "
+                f"in rad/s (1 MHz = 1e6 rad/s)")
+        return value * scale
+
+    values = {key: 0.0 if key == "g" and tune else frequency(key)
               for key in FREQ_KEYS}
     values.update((key, number(key)) for key in ("eta_L", "eta_c", "phi"))
     try:

@@ -138,11 +138,11 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
 
     With ``tune`` the coupling is replaced so that the effective coupling
     g cos(phi) satisfies the condition a t_p = pi / 4 (a tuned g that misses
-    it, as when 16 p^2 overflows, is refused by p); otherwise the params
-    must already satisfy mu / a = 4 p (relative tolerance 1e-9), or an
-    UntunedError is raised; either way a vanishing or negative cos(phi) is
-    refused. The shape defaults to the smallest one that holds the block,
-    (m + 1) x (n + 1), and a smaller one is refused.
+    it, as when 16 p^2 overflows or g itself does, is refused by p);
+    otherwise the params must already satisfy mu / a = 4 p (relative
+    tolerance 1e-9), or an UntunedError is raised; either way a vanishing
+    or negative cos(phi) is refused. The shape defaults to the smallest one
+    that holds the block, (m + 1) x (n + 1), and a smaller one is refused.
     """
     for key, level in (("m", m), ("n", n)):
         if level < 1:
@@ -165,7 +165,12 @@ def ghz_schedule(params: SystemParams, m: int = 1, n: int = 1, p: int = 1,
         shape = HilbertShape(vib_dim=m + 1, cav_dim=n + 1)
     if tune:
         g_eff = tune_coupling(params.Omega, params.eta_c, p) / math.sqrt(m * n)
-        params = replace(params, g=g_eff / cos_phi)
+        g = g_eff / cos_phi
+        if not math.isfinite(g):
+            raise ConfigurationError(
+                f"tuning g for p = {p:.3g} gives g = {g:.3e} rad/s, which "
+                f"misses the GHZ condition: g must be finite")
+        params = replace(params, g=g)
     block = BlockParams.from_params(params, m, n)
     ratio = block.mu / block.a if block.a != 0.0 else math.inf
     if abs(ratio - 4.0 * p) > TUNING_RTOL * 4.0 * p:

@@ -29,6 +29,11 @@ BAD_TIMES = [
 ]
 
 
+# the reduced lab hierarchy nu = 5 Omega, omega_0 = omega_L = 5 nu (MHz)
+LAB_HIERARCHY = {"Omega": 8.95, "nu": 44.75, "omega_0": 223.75,
+                 "omega_L": 223.75, "omega_c": 179.0}
+
+
 def scaled_params(Omega=8.95e6, eta_c=0.05, eta_L=0.05, g=None, phi=0.0,
                   nu_ratio=20.0, omega0_ratio=200.0):
     """Resonant parameter set with the scaled hierarchy nu = nu_ratio * Omega,
